@@ -11,8 +11,9 @@
 //!
 //! The protocol is newline-delimited JSON-RPC over TCP (and optionally a
 //! Unix socket): see [`proto`] for framing and error codes, [`Session`]
-//! for the method set (`ping`, `repair`, `repair_module`, `repair_batch`,
-//! `explain`, `trace_report`, `eval`, `metrics`, `stats`, `shutdown`),
+//! for the method set (`hello`, `ping`, `stats`, `shutdown`, `repair`,
+//! `repair_module`, `repair_batch`, `repair_auto`, `explain`,
+//! `trace_report`, `eval`),
 //! and [`Server`] for the daemon. The server is a bounded worker pool:
 //! connection threads parse frames and feed a bounded work queue, and a
 //! fixed set of workers — each owning a long-lived session whose
@@ -24,7 +25,8 @@
 //!
 //! Every accepted frame gets a lifecycle request id (echoed as `req_id`
 //! in the reply) and per-stage monotonic timestamps; the server layer
-//! records per-method latency/queue-wait histograms into a sharded
+//! records per-method latency/queue-wait histograms, and each worker its
+//! repairs' counters and histograms, into a sharded
 //! [`pumpkin_core::trace::serve_stats`] registry that the `stats` RPC
 //! snapshots (DESIGN.md §17). `ServerConfig::slow_ms` turns on a
 //! structured JSONL slow-request log with the per-stage breakdown.

@@ -20,7 +20,7 @@ use pumpkin_wire::Value;
 
 /// Protocol version announced by `ping` (independent of the wire format
 /// version embedded in term envelopes).
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// Hard cap on a single request line, in bytes (newline included).
 pub const MAX_FRAME: usize = 1 << 20;

@@ -1,7 +1,7 @@
 //! The pumpkind daemon proper: listeners, the worker pool, and drain.
 //!
 //! `std::net` only. Connection threads are thin: they parse frames,
-//! answer the environment-free control methods (`ping`, `metrics`,
+//! answer the environment-free control methods (`ping`, `hello`, `stats`,
 //! `shutdown`) inline, and hand everything else to a bounded work queue
 //! as a [`Job`], then block until the worker's reply comes back over the
 //! job's channel. A fixed pool of worker threads drains the queue; each
@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use pumpkin_core::trace::serve_stats::{self, ServeStats};
-use pumpkin_core::trace::{Event, EventKind, Metrics};
+use pumpkin_core::trace::{Event, EventKind};
 use pumpkin_core::CancelToken;
 use pumpkin_kernel::env::Env;
 use pumpkin_wire::Value;
@@ -237,9 +237,9 @@ struct Shared {
     workers: usize,
     cache_dir: Option<PathBuf>,
     cache_max_bytes: Option<u64>,
-    metrics: Arc<Mutex<Metrics>>,
-    /// Service stats: per-method latency/queue-wait histograms + gauges,
-    /// shared with every worker session and read by the `stats` RPC.
+    /// Service stats: per-method latency/queue-wait histograms, repair
+    /// metrics and gauges, shared with every worker session and read by
+    /// the `stats` RPC.
     stats: Arc<ServeStats>,
     queue: WorkQueue,
     active: AtomicUsize,
@@ -378,7 +378,6 @@ impl Server {
                 workers: cfg.workers.max(1),
                 cache_dir: cfg.cache_dir,
                 cache_max_bytes: cfg.cache_max_bytes,
-                metrics: Arc::new(Mutex::new(Metrics::new())),
                 stats: Arc::new(ServeStats::new()),
                 queue: WorkQueue::new(cfg.queue_depth),
                 active: AtomicUsize::new(0),
@@ -421,10 +420,10 @@ impl Server {
             shared,
         } = self;
         std::thread::scope(|s| {
-            for _ in 0..shared.workers {
+            for lane in 0..shared.workers as u64 {
                 let env = base.clone();
                 let wshared = Arc::clone(&shared);
-                s.spawn(move || worker_loop(env, &wshared));
+                s.spawn(move || worker_loop(env, lane, &wshared));
             }
             #[cfg(unix)]
             if let Some(ul) = unix {
@@ -454,16 +453,12 @@ impl Server {
 }
 
 /// One worker: a long-lived session draining the queue until it closes.
-/// The session (and its configuration cache) outlives every connection.
-fn worker_loop(env: Env, shared: &Shared) {
-    let mut session = Session::new(
-        env,
-        shared.jobs,
-        shared.cache_dir.clone(),
-        Arc::clone(&shared.metrics),
-    )
-    .cache_max_bytes(shared.cache_max_bytes)
-    .serve_stats(Arc::clone(&shared.stats));
+/// The session (and its configuration cache) outlives every connection;
+/// `lane` (the worker index) is its stats shard.
+fn worker_loop(env: Env, lane: u64, shared: &Shared) {
+    let mut session = Session::new(env, shared.jobs, shared.cache_dir.clone())
+        .cache_max_bytes(shared.cache_max_bytes)
+        .serve_stats(Arc::clone(&shared.stats), lane);
     while let Some(job) = shared.queue.pop() {
         let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
         serve_stats::inc(&shared.stats.gauges.workers_busy);
@@ -654,9 +649,7 @@ fn handle_frame(line: &str, shared: &Shared) -> (String, Control, Option<ReqTimi
             return (reply.to_string(), Control::Continue, None);
         }
     };
-    if let Some(res) =
-        session::control_result(&req.method, &req.params, &shared.metrics, &shared.stats)
-    {
+    if let Some(res) = session::control_result(&req.method, &shared.stats) {
         let (mut reply, ctl) = match res {
             Ok((result, ctl)) => (proto::ok_reply_value(&req.id, result), ctl),
             Err(e) => (e.reply(&req.id), Control::Continue),

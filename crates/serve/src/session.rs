@@ -18,7 +18,7 @@
 //! survives across connections instead of dying with each one.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pumpkin_core::trace::serve_stats::{self, ServeStats, STATS_SCHEMA};
@@ -53,7 +53,6 @@ const MAX_CONFIGS: usize = 8;
 pub const METHODS: &[&str] = &[
     "hello",
     "ping",
-    "metrics",
     "stats",
     "shutdown",
     "repair",
@@ -87,15 +86,14 @@ pub struct Session {
     cache_max_bytes: Option<u64>,
     /// Most-recently-used first, at most [`MAX_CONFIGS`] entries.
     configured: Vec<Configured>,
-    /// Server-wide cumulative metrics registry; every repair-family
-    /// request merges its event-derived counters here.
-    metrics: Arc<Mutex<Metrics>>,
-    /// Server-wide service stats (per-method histograms + gauges). The
-    /// session records only deterministic gauge traffic (config-cache,
-    /// persist-cache, incremental totals); latency recording lives in the
-    /// server's connection threads. Standalone sessions get a private
-    /// registry.
+    /// Server-wide service stats (per-method histograms, repair metrics,
+    /// gauges). The session records each repair's event-derived metrics
+    /// and its gauge traffic (config-cache, persist-cache, incremental
+    /// totals); latency recording lives in the server's connection
+    /// threads. Standalone sessions get a private registry.
     stats: Arc<ServeStats>,
+    /// The stats shard this session records its repair metrics into.
+    lane: u64,
     /// Lifecycle id for the next request this session fronts itself
     /// (standalone use; the daemon stamps ids server-side).
     next_req_id: u64,
@@ -133,17 +131,12 @@ impl From<(&'static str, String)> for MethodError {
 
 pub(crate) type MethodResult = Result<(Value, Control), MethodError>;
 
-/// Handles the environment-free control methods — `ping`, `metrics`,
-/// `shutdown` — or returns `None` for anything else. Shared between
-/// [`Session::dispatch`] and the server's connection threads, which
-/// answer these inline so they stay responsive (and byte-identical)
-/// while the worker pool is saturated.
-pub(crate) fn control_result(
-    method: &str,
-    params: &Value,
-    metrics: &Arc<Mutex<Metrics>>,
-    stats: &ServeStats,
-) -> Option<MethodResult> {
+/// Handles the environment-free control methods — `ping`, `hello`,
+/// `stats`, `shutdown` — or returns `None` for anything else. Shared
+/// between [`Session::dispatch`] and the server's connection threads,
+/// which answer these inline so they stay responsive (and
+/// byte-identical) while the worker pool is saturated.
+pub(crate) fn control_result(method: &str, stats: &ServeStats) -> Option<MethodResult> {
     match method {
         "ping" => Some(Ok((
             Value::Obj(vec![
@@ -181,21 +174,6 @@ pub(crate) fn control_result(
             Control::Continue,
         ))),
         "stats" => Some(Ok((stats_result(stats), Control::Continue))),
-        "metrics" => {
-            let canonical = flag(params, "canonical");
-            // Poison recovery: a panicking worker must not take every
-            // connection thread's `metrics`/`stats` RPC down with it.
-            let m = metrics.lock().unwrap_or_else(PoisonError::into_inner);
-            let text = if canonical {
-                m.canonicalize().to_text()
-            } else {
-                m.to_text()
-            };
-            Some(Ok((
-                Value::Obj(vec![("text".into(), Value::str(&text))]),
-                Control::Continue,
-            )))
-        }
         "shutdown" => Some(Ok((
             Value::Obj(vec![("draining".into(), Value::Bool(true))]),
             Control::Shutdown,
@@ -206,22 +184,23 @@ pub(crate) fn control_result(
 
 /// Renders one histogram as the `stats` reply's summary object. Empty
 /// histograms report zeros (not nulls), so scrapers read one shape.
-fn histogram_value(h: &Histogram) -> Value {
+/// `unit` suffixes the value fields: `"_ns"` for durations, `""` for
+/// dimensionless histograms such as `wave.width`.
+fn histogram_value(h: &Histogram, unit: &str) -> Value {
+    let field = |name: &str, v: u64| (format!("{name}{unit}"), Value::UInt(v));
     Value::Obj(vec![
         ("count".into(), Value::UInt(h.count())),
-        (
-            "mean_ns".into(),
-            Value::UInt(h.mean().unwrap_or(0.0) as u64),
-        ),
-        ("p50_ns".into(), Value::UInt(h.quantile(0.5).unwrap_or(0))),
-        ("p95_ns".into(), Value::UInt(h.quantile(0.95).unwrap_or(0))),
-        ("p99_ns".into(), Value::UInt(h.quantile(0.99).unwrap_or(0))),
-        ("max_ns".into(), Value::UInt(h.max().unwrap_or(0))),
+        field("mean", h.mean().unwrap_or(0.0) as u64),
+        field("p50", h.quantile(0.5).unwrap_or(0)),
+        field("p95", h.quantile(0.95).unwrap_or(0)),
+        field("p99", h.quantile(0.99).unwrap_or(0)),
+        field("max", h.max().unwrap_or(0)),
     ])
 }
 
 /// The `stats` RPC result: a versioned snapshot of the service registry —
-/// per-method latency and queue-wait summaries plus the gauge block.
+/// per-method latency and queue-wait summaries, the gauge block, and the
+/// cumulative repair counters and histograms.
 fn stats_result(stats: &ServeStats) -> Value {
     let snap = stats.snapshot();
     let methods: Vec<(String, Value)> = snap
@@ -232,8 +211,8 @@ fn stats_result(stats: &ServeStats) -> Value {
                 name.clone(),
                 Value::Obj(vec![
                     ("count".into(), Value::UInt(m.latency.count())),
-                    ("latency".into(), histogram_value(&m.latency)),
-                    ("queue_wait".into(), histogram_value(&m.queue_wait)),
+                    ("latency".into(), histogram_value(&m.latency, "_ns")),
+                    ("queue_wait".into(), histogram_value(&m.queue_wait, "_ns")),
                 ]),
             )
         })
@@ -250,39 +229,52 @@ fn stats_result(stats: &ServeStats) -> Value {
         .iter()
         .map(|&(name, v)| (name.to_string(), Value::UInt(v)))
         .collect();
+    let counters: Vec<(String, Value)> = snap
+        .metrics
+        .counters()
+        .map(|(name, v)| (name.to_string(), Value::UInt(v)))
+        .collect();
+    // `.ns` marks duration histograms, as in `Metrics::to_text`.
+    let histograms: Vec<(String, Value)> = snap
+        .metrics
+        .histograms()
+        .map(|(name, h)| {
+            let unit = if name.ends_with(".ns") { "_ns" } else { "" };
+            (name.to_string(), histogram_value(h, unit))
+        })
+        .collect();
     Value::Obj(vec![
         ("schema".into(), Value::str(STATS_SCHEMA)),
         ("methods".into(), Value::Obj(methods)),
         (
             "total".into(),
             Value::Obj(vec![
-                ("latency".into(), histogram_value(&total.latency)),
-                ("queue_wait".into(), histogram_value(&total.queue_wait)),
+                ("latency".into(), histogram_value(&total.latency, "_ns")),
+                (
+                    "queue_wait".into(),
+                    histogram_value(&total.queue_wait, "_ns"),
+                ),
             ]),
         ),
         ("gauges".into(), Value::Obj(gauges)),
+        ("counters".into(), Value::Obj(counters)),
+        ("histograms".into(), Value::Obj(histograms)),
     ])
 }
 
 impl Session {
     /// A session over a (cloned, warm) base environment. `jobs` is the
     /// per-request worker cap; `cache_dir` enables the persistent lift
-    /// cache; `metrics` is the server-wide registry shared by every
-    /// session (pass a fresh one for standalone use).
-    pub fn new(
-        base: Env,
-        jobs: usize,
-        cache_dir: Option<PathBuf>,
-        metrics: Arc<Mutex<Metrics>>,
-    ) -> Session {
+    /// cache.
+    pub fn new(base: Env, jobs: usize, cache_dir: Option<PathBuf>) -> Session {
         Session {
             base,
             jobs: jobs.max(1),
             cache_dir,
             cache_max_bytes: None,
             configured: Vec::new(),
-            metrics,
             stats: Arc::new(ServeStats::new()),
+            lane: 0,
             next_req_id: 0,
         }
     }
@@ -296,11 +288,13 @@ impl Session {
     }
 
     /// Shares the server-wide service-stats registry (the daemon passes
-    /// its own so every worker's gauge traffic lands in one place; the
-    /// default is a private registry for standalone sessions).
+    /// its own so every worker's metrics and gauge traffic land in one
+    /// place; the default is a private registry for standalone sessions).
+    /// `lane` picks the shard this session's repair metrics go to.
     #[must_use]
-    pub fn serve_stats(mut self, stats: Arc<ServeStats>) -> Session {
+    pub fn serve_stats(mut self, stats: Arc<ServeStats>, lane: u64) -> Session {
         self.stats = stats;
+        self.lane = lane;
         self
     }
 
@@ -373,9 +367,9 @@ impl Session {
             "explain" => self.explain(&req.params, cancel),
             "trace_report" => self.trace_report(&req.params, cancel),
             "eval" => self.eval(&req.params),
-            other => control_result(other, &req.params, &self.metrics, &self.stats).unwrap_or_else(
-                || Err((code::UNKNOWN_METHOD, format!("unknown method `{other}`")).into()),
-            ),
+            other => control_result(other, &self.stats).unwrap_or_else(|| {
+                Err((code::UNKNOWN_METHOD, format!("unknown method `{other}`")).into())
+            }),
         }
     }
 
@@ -572,10 +566,7 @@ impl Session {
         serve_stats::add(&g.auto_failure_cache_hits, auto.skipped_cache as u64);
         match result {
             Ok(report) => {
-                self.metrics
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .merge(&report.metrics);
+                self.stats.record_metrics(self.lane, &report.metrics);
                 let mut wire = report.to_wire();
                 if deterministic {
                     wire.wall_ns = 0;
@@ -746,10 +737,7 @@ impl Session {
         if incremental {
             self.configured[0].snapshot = Some(DigestMap::capture(&env, &borrowed));
         }
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(&report.metrics);
+        self.stats.record_metrics(self.lane, &report.metrics);
         let g = &self.stats.gauges;
         serve_stats::add(&g.persist_hits, report.lift.persist_hits);
         serve_stats::add(&g.persist_misses, report.lift.persist_misses);
@@ -846,12 +834,7 @@ mod tests {
     use super::*;
 
     fn session() -> Session {
-        Session::new(
-            pumpkin_stdlib::std_env(),
-            1,
-            None,
-            Arc::new(Mutex::new(Metrics::new())),
-        )
+        Session::new(pumpkin_stdlib::std_env(), 1, None)
     }
 
     fn swap_spec() -> String {
@@ -867,7 +850,7 @@ mod tests {
         assert_eq!(ctl, Control::Continue);
         assert_eq!(
             reply,
-            r#"{"id":1,"req_id":1,"ok":true,"result":{"pong":true,"proto":1,"wire":"pumpkin-wire/2"}}"#
+            r#"{"id":1,"req_id":1,"ok":true,"result":{"pong":true,"proto":2,"wire":"pumpkin-wire/2"}}"#
         );
     }
 
@@ -894,6 +877,14 @@ mod tests {
         );
         let (r, _) = s.handle_line(&repair);
         assert!(r.contains("\"ok\":true"), "{r}");
+        let lifted_once = Value::parse(&r)
+            .unwrap()
+            .get("result")
+            .and_then(|r| r.get("report"))
+            .and_then(|r| r.get("counters"))
+            .and_then(|c| c.get("lift.constants"))
+            .and_then(Value::as_u64)
+            .expect("the report counts lifted constants");
         let (r, _) = s.handle_line(&repair);
         assert!(r.contains("\"ok\":true"), "{r}");
         let (reply, ctl) = s.handle_line(r#"{"id":9,"method":"stats"}"#);
@@ -915,7 +906,7 @@ mod tests {
             Some(1)
         );
         // A bare session records no latency — that is the server's job —
-        // so the method map is empty and the reply is deterministic.
+        // so the method map is empty.
         assert_eq!(
             result
                 .get("methods")
@@ -923,6 +914,20 @@ mod tests {
                 .map(<[_]>::len),
             Some(0)
         );
+        // The repair metrics accumulate across both repairs.
+        assert_eq!(
+            result
+                .get("counters")
+                .and_then(|c| c.get("lift.constants"))
+                .and_then(Value::as_u64),
+            Some(2 * lifted_once)
+        );
+        let runs = result.get("histograms").and_then(|h| h.get("run.ns"));
+        assert_eq!(
+            runs.and_then(|h| h.get("count")).and_then(Value::as_u64),
+            Some(2)
+        );
+        assert!(runs.and_then(|h| h.get("p99_ns")).is_some());
     }
 
     #[test]
@@ -985,12 +990,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("pumpkin-serve-incr-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut s = Session::new(
-            pumpkin_stdlib::std_env(),
-            1,
-            Some(dir.clone()),
-            Arc::new(Mutex::new(Metrics::new())),
-        );
+        let mut s = Session::new(pumpkin_stdlib::std_env(), 1, Some(dir.clone()));
         let line = format!(
             r#"{{"id":1,"method":"repair_module","params":{{"lifting":{},"names":["Old.rev","Old.app"],"deterministic":true,"incremental":true}}}}"#,
             swap_spec()
@@ -1038,12 +1038,7 @@ mod tests {
         let (cold, _) = session().handle_line(&explain_line);
         // Warm the persist cache with an incremental repair, then explain
         // on the same session: the replayed world must cite identically.
-        let mut s = Session::new(
-            pumpkin_stdlib::std_env(),
-            1,
-            Some(dir.clone()),
-            Arc::new(Mutex::new(Metrics::new())),
-        );
+        let mut s = Session::new(pumpkin_stdlib::std_env(), 1, Some(dir.clone()));
         let repair_line = format!(
             r#"{{"id":2,"method":"repair_module","params":{{"lifting":{},"names":["Old.rev"],"deterministic":true,"incremental":true}}}}"#,
             swap_spec()

@@ -2,8 +2,7 @@
 //! merged-metrics invariance across worker counts, backpressure, and
 //! graceful drain.
 
-use std::sync::{Arc, Mutex};
-
+use pumpkin_core::trace::Metrics;
 use pumpkin_serve::{Client, ClientError, Server, ServerConfig, Session};
 use pumpkin_wire::{LiftSpec, Value};
 
@@ -29,6 +28,23 @@ fn shutdown(addr: &str) {
     }
 }
 
+/// A `repair_batch` of `items` whole swap-module repairs: long enough
+/// (tens of milliseconds per eight items even in a release build) to hold
+/// the only worker while a test fills the queue behind it.
+fn long_batch_line(id: u64, items: usize) -> String {
+    let spec = LiftSpec::swap("Old.list", "New.list", "Old.", "New.");
+    let all = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS
+        .iter()
+        .map(|n| format!("\"{n}\""))
+        .collect::<Vec<_>>()
+        .join(",");
+    format!(
+        r#"{{"id":{id},"method":"repair_batch","params":{{"lifting":{},"batch":[{}],"deterministic":true}}}}"#,
+        spec.to_value(),
+        vec![format!(r#"{{"names":[{all}],"deterministic":true}}"#); items].join(",")
+    )
+}
+
 fn repair_module_line(id: u64, names: &[&str]) -> String {
     let spec = LiftSpec::swap("Old.list", "New.list", "Old.", "New.");
     let names = names
@@ -42,12 +58,34 @@ fn repair_module_line(id: u64, names: &[&str]) -> String {
     )
 }
 
-/// A local, socket-free session with a fresh metrics registry — the
-/// "one-shot run" baseline the daemon must match byte for byte.
+/// A local, socket-free session — the "one-shot run" baseline the
+/// daemon must match byte for byte.
 fn one_shot(line: &str) -> String {
-    let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-    let mut s = Session::new(pumpkin_stdlib::std_env(), 1, None, metrics);
+    let mut s = Session::new(pumpkin_stdlib::std_env(), 1, None);
     s.handle_line(line).0
+}
+
+/// Polls the daemon's `stats` gauges until `ready` holds. The tests
+/// synchronize with the worker pool through this, never through sleeps.
+fn wait_for_gauges(addr: &str, ready: impl Fn(&Value) -> bool) {
+    let mut c = Client::connect(addr).expect("connect for stats");
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let stats = c.call("stats", Value::Obj(vec![])).expect("stats");
+        let gauges = stats.get("gauges").expect("gauges block");
+        if ready(gauges) {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < give_up,
+            "gauges never reached the awaited state: {gauges}"
+        );
+        std::thread::yield_now();
+    }
+}
+
+fn gauge(gauges: &Value, name: &str) -> u64 {
+    gauges.get(name).and_then(Value::as_u64).unwrap_or(0)
 }
 
 /// Drops the `"req_id":N,` lifecycle stamp from a reply. Every frame
@@ -98,20 +136,24 @@ fn four_concurrent_clients_match_sequential_one_shots() {
 #[test]
 fn merged_metrics_canonicalize_identically_across_job_counts() {
     let line = repair_module_line(1, pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS);
+    // The `stats` counters block, folded by the same canonicalization
+    // the registry applies to job-variant counters.
     let canonical = |jobs: usize| -> String {
-        let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-        let mut s = Session::new(pumpkin_stdlib::std_env(), jobs, None, Arc::clone(&metrics));
+        let mut s = Session::new(pumpkin_stdlib::std_env(), jobs, None);
         let (reply, _) = s.handle_line(&line);
         assert!(reply.contains("\"ok\":true"), "jobs={jobs}: {reply}");
-        let (reply, _) =
-            s.handle_line(r#"{"id":2,"method":"metrics","params":{"canonical":true}}"#);
+        let (reply, _) = s.handle_line(r#"{"id":2,"method":"stats"}"#);
         let v = Value::parse(&reply).unwrap();
-        v.get("result")
-            .unwrap()
-            .get("text")
-            .and_then(Value::as_str)
-            .unwrap()
-            .to_string()
+        let counters = v
+            .get("result")
+            .and_then(|r| r.get("counters"))
+            .and_then(Value::as_obj)
+            .expect("stats counters block");
+        let mut m = Metrics::new();
+        for (name, value) in counters {
+            m.incr(name, value.as_u64().expect("counters are integers"));
+        }
+        m.canonicalize().to_text()
     };
     let at1 = canonical(1);
     let at2 = canonical(2);
@@ -138,23 +180,8 @@ fn full_work_queue_returns_busy_and_recovers() {
         max_sessions: 16,
         ..ServerConfig::default()
     });
-    // Occupy the only worker with a long batch (eight module repairs —
-    // debug-build minutes of headroom compared to the millisecond sends
-    // below).
-    let spec = LiftSpec::swap("Old.list", "New.list", "Old.", "New.");
-    let all = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS
-        .iter()
-        .map(|n| format!("\"{n}\""))
-        .collect::<Vec<_>>()
-        .join(",");
-    let long_line = format!(
-        r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{}],"deterministic":true}}}}"#,
-        spec.to_value(),
-        (0..8)
-            .map(|_| format!(r#"{{"names":[{all}],"deterministic":true}}"#))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
+    // Occupy the only worker with a long batch.
+    let long_line = long_batch_line(1, 32);
     let short_line = repair_module_line(2, &["Old.rev"]);
     let (busy_count, replies) = std::thread::scope(|s| {
         let addr_long = addr.clone();
@@ -162,9 +189,8 @@ fn full_work_queue_returns_busy_and_recovers() {
             let mut c = Client::connect(&addr_long).expect("connect long");
             c.call_raw(&long_line).expect("long call")
         });
-        // Give the long batch time to reach the worker before saturating
-        // the queue.
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        // Saturate the queue only once the long batch is on the worker.
+        wait_for_gauges(&addr, |g| gauge(g, "workers_busy") == 1);
         let shorts: Vec<_> = (0..4)
             .map(|_| {
                 let addr = addr.clone();
@@ -225,12 +251,7 @@ fn graceful_drain_completes_queued_work() {
         max_sessions: 16,
         ..ServerConfig::default()
     });
-    let slow_line = repair_module_line(
-        1,
-        pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS
-            .to_vec()
-            .as_slice(),
-    );
+    let slow_line = long_batch_line(1, 32);
     let quick_line = repair_module_line(2, &["Old.rev"]);
     let replies: Vec<String> = std::thread::scope(|s| {
         let addr_slow = addr.clone();
@@ -238,7 +259,7 @@ fn graceful_drain_completes_queued_work() {
             let mut c = Client::connect(&addr_slow).expect("connect slow");
             c.call_raw(&slow_line).expect("slow call")
         });
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        wait_for_gauges(&addr, |g| gauge(g, "workers_busy") == 1);
         // Two requests that will sit in the queue behind the slow one.
         let queued: Vec<_> = (0..2)
             .map(|_| {
@@ -250,7 +271,7 @@ fn graceful_drain_completes_queued_work() {
                 })
             })
             .collect();
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        wait_for_gauges(&addr, |g| gauge(g, "queue_depth_hwm") >= 2);
         // The shutdown request is answered inline (control methods skip
         // the queue), so it cannot be stuck behind the backlog.
         shutdown(&addr);
@@ -285,7 +306,7 @@ fn batch_deadline_cancels_remaining_items_over_sockets() {
         .collect::<Vec<_>>()
         .join(",");
     let line = format!(
-        r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{items}],"deadline_ms":50}}}}"#,
+        r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{items}],"deadline_ms":1}}}}"#,
         spec.to_value()
     );
     let mut c = Client::connect(&addr).expect("connect");
@@ -302,8 +323,8 @@ fn batch_deadline_cancels_remaining_items_over_sockets() {
         .iter()
         .map(|r| r.get("ok") == Some(&Value::Bool(true)))
         .collect();
-    // Six debug-build module repairs cannot fit in 50 ms; the tail must
-    // have been cancelled.
+    // Six module repairs cannot fit in 1 ms, even in a release build; the
+    // tail must have been cancelled.
     assert!(states.contains(&false), "no item hit the deadline: {reply}");
     for r in results
         .iter()
@@ -347,8 +368,7 @@ fn repair_batch_matches_per_request_replies_across_job_counts() {
         r#"{"name":"Old.missing","deterministic":true}"#,
     ];
     for jobs in [1usize, 2, 4] {
-        let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-        let mut s = Session::new(pumpkin_stdlib::std_env(), jobs, None, metrics);
+        let mut s = Session::new(pumpkin_stdlib::std_env(), jobs, None);
         let batch_line = format!(
             r#"{{"id":1,"method":"repair_batch","params":{{"lifting":{},"batch":[{}]}}}}"#,
             spec.to_value(),
@@ -442,7 +462,7 @@ fn stats_rpc_reports_per_method_latency_over_the_daemon() {
     let stats = c.call("stats", Value::Obj(vec![])).expect("stats");
     assert_eq!(
         stats.get("schema").and_then(Value::as_str),
-        Some("pumpkin-serve-stats/1")
+        Some("pumpkin-serve-stats/2")
     );
     let method = stats
         .get("methods")

@@ -180,81 +180,6 @@ impl Sample {
     }
 }
 
-/// A latency recorder with exact percentiles.
-///
-/// Keeps every recorded value (load runs are tens of thousands of
-/// samples, not billions, so exactness is affordable) and computes
-/// nearest-rank percentiles over the sorted set. Per-thread recorders
-/// [`merge`](LatencyHistogram::merge) into one before summarizing.
-#[derive(Clone, Debug, Default)]
-pub struct LatencyHistogram {
-    samples: Vec<u64>,
-}
-
-impl LatencyHistogram {
-    /// An empty recorder.
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram::default()
-    }
-
-    /// Records one latency observation, in nanoseconds.
-    pub fn record(&mut self, ns: u64) {
-        self.samples.push(ns);
-    }
-
-    /// Folds another recorder's observations into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Number of recorded observations.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean latency in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let total: u128 = self.samples.iter().map(|&t| t as u128).sum();
-        (total / self.samples.len() as u128) as u64
-    }
-
-    /// The largest recorded value (0 when empty).
-    pub fn max_ns(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Nearest-rank percentile: the smallest recorded value such that at
-    /// least `p`% of observations are ≤ it. `p` is clamped to [0, 100];
-    /// an empty recorder reports 0. `percentile(50.0)` is the median.
-    pub fn percentile(&self, p: f64) -> u64 {
-        self.percentiles(&[p])[0]
-    }
-
-    /// Several nearest-rank percentiles over one shared sort.
-    pub fn percentiles(&self, ps: &[f64]) -> Vec<u64> {
-        if self.samples.is_empty() {
-            return vec![0; ps.len()];
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        ps.iter()
-            .map(|&p| {
-                let p = p.clamp(0.0, 100.0);
-                let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-                sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-            })
-            .collect()
-    }
-}
-
 /// Renders samples in the `pumpkin-bench/v1` JSON-lines format: a schema
 /// header (carrying the nominal per-row sample count), then one object
 /// per sample. [`Bench::to_json_lines`] and `pumpkin loadgen` both emit
@@ -526,30 +451,6 @@ mod tests {
         let mut b2 = Bench::new();
         b2.jobs = Some(3);
         assert_eq!(b2.jobs(), Some(3));
-    }
-
-    #[test]
-    fn histogram_percentiles_are_nearest_rank() {
-        let mut h = LatencyHistogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.percentile(99.0), 0);
-        for v in 1..=100u64 {
-            h.record(v * 10);
-        }
-        assert_eq!(h.len(), 100);
-        assert_eq!(h.percentile(50.0), 500);
-        assert_eq!(h.percentile(95.0), 950);
-        assert_eq!(h.percentile(99.0), 990);
-        assert_eq!(h.percentile(100.0), 1000);
-        assert_eq!(h.percentile(0.0), 10);
-        assert_eq!(h.mean_ns(), 505);
-        assert_eq!(h.max_ns(), 1000);
-        // Merging is observation-union: percentiles see both recorders.
-        let mut other = LatencyHistogram::new();
-        other.record(2000);
-        h.merge(&other);
-        assert_eq!(h.percentile(100.0), 2000);
-        assert_eq!(h.len(), 101);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!   ([`sink::SummarySink`] / [`summary::render`]).
 //! * [`metrics`] — a counter/histogram registry ([`metrics::Metrics`]),
 //!   derivable from an event stream and mergeable across runs.
-//! * [`json`] — the minimal JSON encode/parse helpers backing the sink and
-//!   the golden-file round-trip tests.
+//! * [`json`] — the workspace's one JSON [`json::Value`] (deterministic
+//!   writer, depth-capped parser), backing the sink, the golden-file
+//!   round-trip tests and the `pumpkin-wire` protocol.
 //! * [`prov`] — the versioned `prov` event family: per-subterm attribution
 //!   of every rewrite to the configuration rule that fired (paper §4).
 //! * [`report`] — offline trace analysis (`pumpkin trace-report`):
@@ -410,15 +411,15 @@ impl Event {
         s
     }
 
-    /// Parses one JSON line produced by [`Event::to_json`] (or any flat
-    /// JSON object with the same fields, in any key order). Returns `None`
+    /// Parses one JSON line produced by [`Event::to_json`] (or any JSON
+    /// object with the same fields, in any key order). Returns `None`
     /// only on malformed input (bad JSON, missing base fields, or a known
     /// kind with broken payload); a structurally valid line with an
     /// *unrecognised* `kind` — or a `prov` event from a newer schema
     /// version — parses to [`EventKind::Unknown`], preserving the raw line
     /// so forward-compatible round-trips are lossless.
     pub fn from_json(line: &str) -> Option<Event> {
-        let obj = json::parse_flat(line)?;
+        let obj = json::Value::parse(line).ok()?;
         let num = |k: &str| -> Option<u64> { obj.get(k)?.as_u64() };
         let st = |k: &str| -> Option<&str> { obj.get(k)?.as_str() };
         let unknown = |kind: &str| EventKind::Unknown {

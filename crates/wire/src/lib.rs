@@ -5,8 +5,8 @@
 //! interchangeable forms —
 //!
 //! * a **versioned JSON form** (envelope `{"wire":"pumpkin-wire/2",…}`)
-//!   built on the nested [`json::Value`] in this crate, used by the
-//!   `pumpkin serve` NDJSON-RPC protocol; and
+//!   built on the nested [`json::Value`] (defined in `pumpkin-trace`,
+//!   re-exported here), used by the `pumpkin serve` NDJSON-RPC protocol; and
 //! * a **compact length-prefixed binary form** (magic `PWIR`) whose term
 //!   payload is a shared-subterm node table (each hash-consed node once,
 //!   referenced by index), used by the persistent lift cache on disk.
@@ -26,12 +26,11 @@ use std::fmt;
 
 use pumpkin_kernel::term::Term;
 
-pub mod json;
 pub mod report;
 pub mod spec;
 pub mod term;
 
-pub use json::Value;
+pub use pumpkin_trace::json::{self, Value};
 pub use report::{AutoWire, IncrWire, ReportWire, ReproWire, AUTO_WIRE_VERSION};
 pub use spec::LiftSpec;
 pub use term::{
@@ -50,7 +49,8 @@ pub const WIRE_TAG: &str = "pumpkin-wire/2";
 /// input produces one of these, never a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// Malformed JSON or binary framing.
+    /// Malformed binary framing (malformed JSON is a
+    /// [`json::ParseError`]).
     Syntax(String),
     /// Well-formed JSON, wrong shape (missing field, wrong type, bad tag).
     Shape(String),
@@ -62,8 +62,6 @@ pub enum WireError {
     Truncated,
     /// A frame or payload exceeds the size limit it advertises.
     Oversized { len: usize, max: usize },
-    /// Nesting deeper than [`json::MAX_DEPTH`] (or the binary equivalent).
-    TooDeep,
 }
 
 impl fmt::Display for WireError {
@@ -82,7 +80,6 @@ impl fmt::Display for WireError {
             WireError::Oversized { len, max } => {
                 write!(f, "oversized frame: {len} bytes (limit {max})")
             }
-            WireError::TooDeep => write!(f, "nesting too deep"),
         }
     }
 }

@@ -77,13 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{text}");
     }
 
-    // Cumulative service-side metrics for everything this daemon ran.
-    let result = client.call(
-        "metrics",
-        Value::Obj(vec![("canonical".into(), Value::Bool(false))]),
-    )?;
-    if let Some(text) = result.get("text").and_then(Value::as_str) {
-        println!("== daemon metrics ==\n{text}");
+    // Cumulative service-side counters for everything this daemon ran.
+    let stats = client.call("stats", Value::Obj(vec![]))?;
+    println!("== daemon counters ==");
+    for (name, v) in stats.get("counters").and_then(Value::as_obj).unwrap_or(&[]) {
+        println!("{name:<24} {v}");
     }
 
     let reply = client.call("shutdown", Value::Obj(vec![]))?;

@@ -210,19 +210,20 @@ fi
 # daemon's own view (loadgen --server-stats): the server measures each
 # request from frame parse to reply write, which excludes the client's
 # connects, busy-retry backoffs, and network time — so its p99 must not
-# exceed the client's. The daemon's histograms are log₂-bucketed and
-# quantiles are bucket midpoints (up to √2 over the exact value), so the
-# gate allows a 1.5x factor: it catches a broken lifecycle clock (server
-# "latency" including time the client never saw), not bucket granularity.
+# exceed the client's. Daemon and loadgen share one log-linear histogram
+# whose quantiles are sub-bucket midpoints (within 1/32 of the exact
+# value), so the gate allows a 1.1x factor: it catches a broken lifecycle
+# clock (server "latency" including time the client never saw), not
+# bucket granularity.
 srv_p99=$(median "$new" 'serve_load/server_p99')
 if [ -n "$srv_p99" ] && [ -n "${sl_p99:-}" ]; then
     srv_q99=$(median "$new" 'serve_load/server_queue_p99')
-    echo "bench_guard: serve_load server_p99 ${srv_p99} ns vs client p99 ${sl_p99} ns (need server*2 <= client*3); server_queue_p99 ${srv_q99:-MISSING} ns"
+    echo "bench_guard: serve_load server_p99 ${srv_p99} ns vs client p99 ${sl_p99} ns (need server*10 <= client*11); server_queue_p99 ${srv_q99:-MISSING} ns"
     if [ -z "$srv_q99" ] || [ "$srv_q99" -eq 0 ]; then
         echo "bench_guard: REGRESSION: server-side queue-wait percentiles missing or zero" >&2
         failures=$((failures + 1))
     fi
-    if [ $((srv_p99 * 2)) -gt $((sl_p99 * 3)) ]; then
+    if [ $((srv_p99 * 10)) -gt $((sl_p99 * 11)) ]; then
         echo "bench_guard: REGRESSION: server-side p99 exceeds the client-side p99 (beyond bucket granularity)" >&2
         failures=$((failures + 1))
     fi

@@ -68,7 +68,7 @@ timeout 300 ./target/release/pumpkin loadgen --connect "$addr" \
     --mode closed --clients 4 --requests 2 --trials 1 --seed 3 >/dev/null
 stats_json=$(timeout 30 ./target/release/pumpkin client --connect "$addr" stats --json)
 case "$stats_json" in
-    *'"schema":"pumpkin-serve-stats/1"'*) ;;
+    *'"schema":"pumpkin-serve-stats/2"'*) ;;
     *) echo "stats: missing schema: $stats_json" >&2; exit 1 ;;
 esac
 echo "$stats_json" | grep -Eq '"repair(_module)?":\{"count":[1-9]' || {

@@ -29,7 +29,7 @@ const USAGE: &str = "usage: pumpkin [--jobs N] [--trace out.jsonl] [--metrics] <
                      \x20      pumpkin serve [--listen ADDR] [--unix PATH] [--jobs N] [--max-sessions N]\n\
                      \x20                    [--workers N] [--queue-depth N] [--cache-dir DIR]\n\
                      \x20                    [--cache-max-bytes N] [--slow-ms N] [--log PATH]\n\
-                     \x20      pumpkin client --connect ADDR <hello|ping|shutdown|metrics|stats|repair-module|explain|call> [args]\n\
+                     \x20      pumpkin client --connect ADDR <hello|ping|shutdown|stats|repair-module|explain|call> [args]\n\
                      \x20                     (stats takes [--json|--prometheus])\n\
                      \x20      pumpkin top --connect ADDR [--interval-ms N] [--count N]\n\
                      \x20      pumpkin watch [--poll-ms MS] [--max-runs N] [--jobs N] [--cache-dir DIR]\n\
@@ -261,16 +261,10 @@ fn render_client_result(method: &str, result: &Value) {
             Some(text) => print!("{text}"),
             None => println!("{result}"),
         },
-        "metrics" | "trace_report" => {
-            let text = result
-                .get("text")
-                .or_else(|| result.get("report"))
-                .and_then(Value::as_str);
-            match text {
-                Some(text) => print!("{text}"),
-                None => println!("{result}"),
-            }
-        }
+        "trace_report" => match result.get("report").and_then(Value::as_str) {
+            Some(text) => print!("{text}"),
+            None => println!("{result}"),
+        },
         _ => println!("{result}"),
     }
 }
@@ -286,7 +280,7 @@ fn stat_field(method: &Value, block: &str, field: &str) -> u64 {
 }
 
 /// Renders a `stats` result as a human-readable table: one row per
-/// method, then the gauge block.
+/// method, then the gauge and repair-counter blocks.
 fn render_stats_table(result: &Value) {
     if let Some(schema) = result.get("schema").and_then(Value::as_str) {
         println!("schema {schema}");
@@ -307,8 +301,10 @@ fn render_stats_table(result: &Value) {
             ms(stat_field(m, "queue_wait", "p99_ns")),
         );
     }
-    for (name, v) in result.get("gauges").and_then(Value::as_obj).unwrap_or(&[]) {
-        println!("gauge {name} {v}");
+    for (block, label) in [("gauges", "gauge"), ("counters", "counter")] {
+        for (name, v) in result.get(block).and_then(Value::as_obj).unwrap_or(&[]) {
+            println!("{label} {name} {v}");
+        }
     }
 }
 
@@ -504,13 +500,6 @@ fn client(argv: &[String]) -> ExitCode {
             }
             (verb.clone(), Value::Obj(vec![]))
         }
-        "metrics" => {
-            let canonical = args.next().map(String::as_str) == Some("--canonical");
-            (
-                verb.clone(),
-                Value::Obj(vec![("canonical".into(), Value::Bool(canonical))]),
-            )
-        }
         "repair-module" => match client_lift_params(&mut args, false) {
             Ok(fields) => ("repair_module".to_string(), Value::Obj(fields)),
             Err(e) => {
@@ -557,7 +546,7 @@ fn client(argv: &[String]) -> ExitCode {
     // Repair-family verbs negotiate first: a version-skewed server fails
     // fast (and distinctly) instead of mid-workload. The cheap control
     // verbs skip the extra round trip — `hello` *is* the negotiation, and
-    // `ping`/`shutdown`/`metrics`/`call` must keep working against any
+    // `ping`/`shutdown`/`stats`/`call` must keep working against any
     // server for diagnostics.
     if matches!(verb.as_str(), "repair-module" | "explain") {
         match client_negotiate(&mut client) {

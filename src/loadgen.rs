@@ -30,8 +30,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use pumpkin_core::trace::Histogram;
 use pumpkin_serve::{Client, ClientError, Server, ServerConfig};
-use pumpkin_testkit::{json_lines, LatencyHistogram, Rng, Sample};
+use pumpkin_testkit::{json_lines, Rng, Sample};
 use pumpkin_wire::{LiftSpec, Value};
 
 /// Arrival discipline.
@@ -136,18 +137,23 @@ pub struct LoadgenReport {
     /// Wall time summed over trials.
     pub elapsed: Duration,
     /// All latencies merged across trials (drives [`LoadgenReport::summary`]).
-    pub hist: LatencyHistogram,
+    pub hist: Histogram,
     trials: Vec<Trial>,
     /// Server-side `serve_load/server_*` rows (empty unless
     /// [`LoadgenConfig::server_stats`] asked for them).
     server_rows: Vec<Sample>,
 }
 
+/// A latency quantile in nanoseconds (0 for an empty population).
+fn quantile(h: &Histogram, q: f64) -> u64 {
+    h.quantile(q).unwrap_or(0)
+}
+
 /// One measurement pass.
 #[derive(Debug)]
 struct Trial {
-    hist: LatencyHistogram,
-    auto_hist: LatencyHistogram,
+    hist: Histogram,
+    auto_hist: Histogram,
     elapsed: Duration,
 }
 
@@ -163,17 +169,13 @@ impl LoadgenReport {
         let mut p99s = Vec::with_capacity(self.trials.len());
         let mut thrs = Vec::with_capacity(self.trials.len());
         for trial in &self.trials {
-            let [p50, p95, p99] = match trial.hist.percentiles(&[50.0, 95.0, 99.0])[..] {
-                [a, b, c] => [a, b, c],
-                _ => unreachable!("three percentiles in, three out"),
-            };
-            p50s.push(p50);
-            p95s.push(p95);
-            p99s.push(p99);
-            thrs.push(if trial.hist.is_empty() {
+            p50s.push(quantile(&trial.hist, 0.5));
+            p95s.push(quantile(&trial.hist, 0.95));
+            p99s.push(quantile(&trial.hist, 0.99));
+            thrs.push(if trial.hist.count() == 0 {
                 0
             } else {
-                u64::try_from(trial.elapsed.as_nanos() / trial.hist.len() as u128)
+                u64::try_from(trial.elapsed.as_nanos() / u128::from(trial.hist.count()))
                     .unwrap_or(u64::MAX)
             });
         }
@@ -185,16 +187,16 @@ impl LoadgenReport {
         ];
         // Broken-module mix rows, present only when a fail-rate run put
         // `repair_auto` latencies in every trial's auto population.
-        if self.trials.iter().all(|t| !t.auto_hist.is_empty()) && !self.trials.is_empty() {
+        if self.trials.iter().all(|t| t.auto_hist.count() > 0) && !self.trials.is_empty() {
             let a50s = self
                 .trials
                 .iter()
-                .map(|t| t.auto_hist.percentile(50.0))
+                .map(|t| quantile(&t.auto_hist, 0.5))
                 .collect();
             let a99s = self
                 .trials
                 .iter()
-                .map(|t| t.auto_hist.percentile(99.0))
+                .map(|t| quantile(&t.auto_hist, 0.99))
                 .collect();
             rows.push(Sample::from_times("serve_load/auto_p50", a50s));
             rows.push(Sample::from_times("serve_load/auto_p99", a99s));
@@ -226,10 +228,10 @@ impl LoadgenReport {
             self.busy,
             self.errors,
             self.exhausted,
-            ms(self.hist.percentile(50.0)),
-            ms(self.hist.percentile(95.0)),
-            ms(self.hist.percentile(99.0)),
-            ms(self.hist.max_ns()),
+            ms(quantile(&self.hist, 0.5)),
+            ms(quantile(&self.hist, 0.95)),
+            ms(quantile(&self.hist, 0.99)),
+            ms(self.hist.max().unwrap_or(0)),
             rps,
             self.elapsed.as_secs_f64(),
         )
@@ -315,10 +317,10 @@ fn seed_for(seed: u64, client: usize, req: usize) -> u64 {
 /// Per-thread tally, merged under one lock at thread exit.
 #[derive(Default)]
 struct Tally {
-    hist: LatencyHistogram,
+    hist: Histogram,
     /// Latencies of the `repair_auto` broken-module requests, kept out
     /// of the main population so the classic rows stay comparable.
-    auto_hist: LatencyHistogram,
+    auto_hist: Histogram,
     busy: usize,
     errors: usize,
     exhausted: usize,
@@ -327,9 +329,9 @@ struct Tally {
 impl Tally {
     fn record(&mut self, method: &str, ns: u64) {
         if method == "repair_auto" {
-            self.auto_hist.record(ns);
+            self.auto_hist.observe(ns);
         } else {
-            self.hist.record(ns);
+            self.hist.observe(ns);
         }
     }
 }
@@ -531,8 +533,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     // caches persist across trials; each trial replays the same seeded
     // request stream and lands one time in every row.
     let mut trials = Vec::with_capacity(cfg.trials.max(1));
-    let mut merged_hist = LatencyHistogram::default();
-    let mut completed_auto = 0usize;
+    let mut merged_hist = Histogram::default();
+    let mut completed_auto = 0u64;
     let (mut busy, mut errors, mut exhausted) = (0usize, 0usize, 0usize);
     let mut elapsed = Duration::ZERO;
     for _ in 0..cfg.trials.max(1) {
@@ -545,7 +547,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         let trial_elapsed = t0.elapsed();
         let tally = merged.into_inner().expect("tally lock poisoned");
         merged_hist.merge(&tally.hist);
-        completed_auto += tally.auto_hist.len();
+        completed_auto += tally.auto_hist.count();
         busy += tally.busy;
         errors += tally.errors;
         exhausted += tally.exhausted;
@@ -574,7 +576,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     Ok(LoadgenReport {
         mode: cfg.mode,
         clients: cfg.clients,
-        completed: merged_hist.len() + completed_auto,
+        completed: (merged_hist.count() + completed_auto) as usize,
         busy,
         errors,
         exhausted,
@@ -586,10 +588,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
 }
 
 /// Reads the daemon's `stats` snapshot and lifts its whole-population
-/// (`total`) latency and queue-wait percentiles into bench rows. The
-/// daemon's histograms are log₂-bucketed, so these are bucket-midpoint
-/// estimates (within √2 of exact) — `bench_guard.sh`'s server-vs-client
-/// gate allows for that.
+/// (`total`) latency and queue-wait percentiles into bench rows. Daemon
+/// and loadgen record into the same log-linear [`Histogram`], so both
+/// sides' quantiles are sub-bucket midpoints within 3.1% of exact —
+/// `bench_guard.sh`'s 1.1x server-vs-client gate allows for that.
 fn fetch_server_rows(addr: &str) -> Result<Vec<Sample>, String> {
     let mut c = Client::connect(addr).map_err(|e| format!("stats connect failed: {e}"))?;
     let stats = c

@@ -5,16 +5,17 @@
 //! `C:`/`S:` transcript byte-for-byte against
 //! `tests/golden/serve_transcript.txt`. Every request opts into
 //! `"deterministic": true` where timing would otherwise leak in, so the
-//! transcript is stable across runs, machines, and debug/release.
+//! transcript is stable across runs, machines, and debug/release. The one
+//! exception is the `stats` reply's cumulative duration histograms: their
+//! counts are pinned, their wall-clock summaries are zeroed before the
+//! comparison ([`mask_durations`]).
 //!
 //! Regenerate after an intentional protocol change with
 //! `PUMPKIN_UPDATE_GOLDEN=1 cargo test --test serve_protocol`.
 
-use std::sync::{Arc, Mutex};
-
 use pumpkin_kernel::term::Term;
 use pumpkin_serve::Session;
-use pumpkin_wire::{term_to_envelope, LiftSpec};
+use pumpkin_wire::{term_to_envelope, LiftSpec, Value};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -49,7 +50,8 @@ fn requests() -> Vec<String> {
             r#"{{"id":6,"method":"eval","params":{{"term":{}}}}}"#,
             term_to_envelope(&sum)
         ),
-        r#"{"id":7,"method":"metrics","params":{"canonical":true}}"#.to_string(),
+        // The negotiation frame: versions, the method list, the limits.
+        r#"{"id":7,"method":"hello"}"#.to_string(),
         // One frame, several repairs: each results entry must be the
         // byte-identical standalone reply with a null id.
         format!(
@@ -81,16 +83,41 @@ fn requests() -> Vec<String> {
             r#"{{"id":14,"method":"repair_auto","params":{{"lifting":{spec},"source":"Definition New.transcript_clash : nat := O.\nDefinition Old.transcript_clash : forall (T : Type 1), Old.list T -> Old.list T := fun (T : Type 1) (l : Old.list T) => l.","minimize":false,"deterministic":true}}}}"#
         ),
         // A bare session records no latency (that is the server layer's
-        // job), so this reply is deterministic: empty method map, zeroed
-        // totals, and only deterministic gauge traffic.
+        // job): empty method map, zeroed totals, deterministic gauge
+        // traffic, and the repairs' cumulative counters and histograms.
         r#"{"id":15,"method":"stats"}"#.to_string(),
         r#"{"id":16,"method":"shutdown"}"#.to_string(),
     ]
 }
 
+/// Zeroes every field but `count` of the `.ns` (wall-clock) histograms
+/// in a `stats` reply's `histograms` block; other replies pass through
+/// unchanged.
+fn mask_durations(reply: String) -> String {
+    let mut v = Value::parse(&reply).expect("replies are JSON");
+    let Value::Obj(top) = &mut v else {
+        return reply;
+    };
+    let Some((_, Value::Obj(result))) = top.iter_mut().find(|(k, _)| k == "result") else {
+        return reply;
+    };
+    let Some((_, Value::Obj(histograms))) = result.iter_mut().find(|(k, _)| k == "histograms")
+    else {
+        return reply;
+    };
+    for (name, summary) in histograms.iter_mut() {
+        if let (true, Value::Obj(fields)) = (name.ends_with(".ns"), summary) {
+            for (field, value) in fields.iter_mut().filter(|(f, _)| f != "count") {
+                assert!(field.ends_with("_ns"), "{name}.{field}");
+                *value = Value::UInt(0);
+            }
+        }
+    }
+    v.to_string()
+}
+
 fn transcript() -> String {
-    let metrics = Arc::new(Mutex::new(pumpkin_core::trace::Metrics::new()));
-    let mut session = Session::new(pumpkin_stdlib::std_env(), 1, None, metrics);
+    let mut session = Session::new(pumpkin_stdlib::std_env(), 1, None);
     let mut out = String::new();
     for line in requests() {
         let (reply, _) = session.handle_line(&line);
@@ -98,7 +125,7 @@ fn transcript() -> String {
         out.push_str(&line);
         out.push('\n');
         out.push_str("S: ");
-        out.push_str(&reply);
+        out.push_str(&mask_durations(reply));
         out.push('\n');
     }
     out

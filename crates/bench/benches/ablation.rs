@@ -16,8 +16,8 @@
 //! * `scaling/term_size_N` — lifting latency as the proof term grows
 //!   (repairing `app_assoc`-style lemmas over ever larger literal lists);
 //! * `auto_search/{cold,warm,minimize}` — the automatic candidate search
-//!   with a cold vs failure-cache-warmed enumeration, plus the greedy
-//!   reproducer minimization (DESIGN.md §18).
+//!   with a cold vs failure-cache-warmed enumeration, plus the reproducer
+//!   minimization (DESIGN.md §18).
 
 use pumpkin_pi::case_studies;
 use pumpkin_pi::pumpkin_core::{self, LiftState, NameMap, Repairer};
@@ -427,8 +427,10 @@ fn bench_auto_search(b: &mut Bench) {
     // helps. `warm` replays one fixed module whose failures were recorded
     // up front: every candidate is skipped by the cache without touching
     // the kernel. bench_guard.sh gates warm at <= 0.5x cold in-run.
-    // `minimize` adds the greedy reduction of a poisoned four-constant
-    // module down to its one-constant reproducer.
+    // `minimize` adds the reduction of a poisoned four-constant module
+    // down to its one-constant reproducer: halving-chunk drops, each probe
+    // attempting the repair on candidates prepared (source loaded,
+    // configured) once per minimization.
     use pumpkin_pi::pumpkin_core::AutoPolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
     let base = stdlib::std_env();
@@ -509,7 +511,11 @@ fn bench_auto_search(b: &mut Bench) {
     let (auto, _) = Repairer::auto(min_policy)
         .source(collision("auto_bench_min_probe"))
         .run(&mut env, &["Old.rev", "Old.app", "Old.length"]);
-    println!("  auto_search/minimize: {}", auto.summary());
+    let steps = auto.reproducer.as_ref().map_or(0, |r| r.steps);
+    println!(
+        "  auto_search/minimize: {} in {steps} oracle steps",
+        auto.summary()
+    );
 }
 
 fn bench_serve_roundtrip(b: &mut Bench) {

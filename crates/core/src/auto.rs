@@ -8,16 +8,22 @@
 //! Known-dead candidates are remembered **process-wide** in a failure
 //! cache keyed by `(configuration digest, module digest)`: both keys are
 //! content-addressed ([`pumpkin_wire::DigestBuilder`] over the candidate's
-//! full configuration and over the module source, work list, and the
-//! reachable dependency closure's declaration digests), so a cache entry
-//! can never go stale — any edit that could change the verdict changes the
-//! key. Retries and concurrent sessions skip straight past dead
+//! full configuration, and over the module source, the work list, the
+//! declaration digests of the work list's reachable dependency closure in
+//! the caller's environment, and whether each renaming target the repair
+//! would declare is already resident). An edit to any of those changes the
+//! key. The key does not follow dependencies of constants that only the
+//! module source defines, so an entry can outlive an edit to such a
+//! dependency. Retries and concurrent sessions skip straight past dead
 //! candidates.
 //!
 //! When *every* candidate fails, [`crate::minimize`] shrinks the module to
 //! a minimal failing sub-module preserving the default candidate's error
 //! class, and the reproducer rides on
-//! [`crate::RepairError::AutoExhausted`].
+//! [`crate::RepairError::AutoExhausted`]. Each candidate's preparation
+//! (smart eliminators, source, configuration) does not depend on the work
+//! list, so the minimizer's oracle prepares each candidate once and only
+//! re-runs the repair per probe.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -26,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
-use pumpkin_kernel::term::{Term, TermData};
+use pumpkin_kernel::term::Term;
 use pumpkin_trace::{Event, EventKind};
 use pumpkin_wire::{decl_digest, AutoWire, DigestBuilder, ReproWire};
 
@@ -267,9 +273,11 @@ impl AutoReport {
 }
 
 /// The process-wide failure cache: `(config digest, module digest)` →
-/// error class. Both keys are content-addressed, so entries never go
-/// stale; the map only grows within a process (entries are a few words
-/// each — candidate enumerations are small).
+/// error class. Both keys are content-addressed (see [`module_digest`] for
+/// what the module key covers), so an edit that could change a verdict
+/// misses the cache instead of invalidating it; the map only grows within
+/// a process (entries are a few words each — candidate enumerations are
+/// small).
 static FAILURES: OnceLock<Mutex<std::collections::HashMap<(u64, u64), ErrorClass>>> =
     OnceLock::new();
 
@@ -294,7 +302,7 @@ fn failure_cache_put(config: u64, module: u64, class: ErrorClass) {
 
 /// Number of entries in the process-wide failure cache (observability and
 /// tests; there is deliberately no way to clear it — keys are
-/// content-addressed, so stale entries cannot exist).
+/// content-addressed, so an edit changes the key rather than the entry).
 pub fn failure_cache_len() -> usize {
     failures()
         .lock()
@@ -305,10 +313,20 @@ pub fn failure_cache_len() -> usize {
 /// Content-addressed digest of the module under repair: the vernacular
 /// source (if any), the sorted work list, and the declaration digests of
 /// every constant reachable from the work list in `env` — so editing any
-/// reachable dependency changes the key.
-fn module_digest(env: &Env, source: Option<&str>, names: &[&str]) -> u64 {
+/// reachable dependency changes the key. A repair declares the renaming
+/// target of each reachable constant and of each constant the source
+/// defines (`defined`), and fails if that name is taken, so the key also
+/// records whether each of those names and targets is already resident
+/// (with its declaration digest when it is).
+fn module_digest(
+    env: &Env,
+    source: Option<&str>,
+    names: &[&str],
+    defined: &[String],
+    rename: &NameMap,
+) -> u64 {
     let mut d = DigestBuilder::new();
-    d.write_str("auto-module/1");
+    d.write_str("auto-module/2");
     if let Some(s) = source {
         d.write_str(s);
     }
@@ -319,58 +337,32 @@ fn module_digest(env: &Env, source: Option<&str>, names: &[&str]) -> u64 {
     for n in &sorted {
         d.write_str(n);
     }
-    // BFS over constant references, digested in sorted order.
+    // Walk constant references, digested in sorted order.
     let mut reachable: BTreeSet<GlobalName> = BTreeSet::new();
     let mut stack: Vec<GlobalName> = sorted.iter().map(|n| GlobalName::new(*n)).collect();
     while let Some(n) = stack.pop() {
         let Ok(decl) = env.const_decl(&n) else {
             continue;
         };
-        if !reachable.insert(n) {
-            continue;
-        }
-        let mut terms: Vec<&Term> = vec![&decl.ty];
-        if let Some(b) = &decl.body {
-            terms.push(b);
-        }
-        while let Some(t) = terms.pop() {
-            match t.data() {
-                TermData::Const(c) => {
-                    if !reachable.contains(c) {
-                        stack.push(c.clone());
-                    }
-                }
-                TermData::Rel(_)
-                | TermData::Sort(_)
-                | TermData::Ind(_)
-                | TermData::Construct(_, _) => {}
-                TermData::App(h, args) => {
-                    terms.push(h);
-                    terms.extend(args);
-                }
-                TermData::Lambda(b, body) | TermData::Pi(b, body) => {
-                    terms.push(&b.ty);
-                    terms.push(body);
-                }
-                TermData::Let(b, v, body) => {
-                    terms.push(&b.ty);
-                    terms.push(v);
-                    terms.push(body);
-                }
-                TermData::Elim(e) => {
-                    terms.extend(&e.params);
-                    terms.push(&e.motive);
-                    terms.extend(&e.cases);
-                    terms.push(&e.scrutinee);
-                }
+        if reachable.insert(n) {
+            stack.extend(decl.ty.constants());
+            if let Some(b) = &decl.body {
+                stack.extend(b.constants());
             }
         }
     }
-    for n in &reachable {
+    let mut resident = |n: &GlobalName| {
         d.write_str(n.as_str());
-        if let Ok(decl) = env.const_decl(n) {
-            d.write_u64(decl_digest(decl).0);
+        match env.const_decl(n) {
+            Ok(decl) => d.write_u64(decl_digest(decl).0),
+            Err(_) if env.contains(n.as_str()) => d.write_str("resident"),
+            Err(_) => d.write_str("absent"),
         }
+    };
+    let defined = defined.iter().map(|n| GlobalName::new(n.as_str()));
+    for n in reachable.into_iter().chain(defined) {
+        resident(&n);
+        resident(&rename.rename(&n));
     }
     d.finish()
 }
@@ -565,15 +557,33 @@ impl AutoDriver {
             return (auto, Err(err));
         }
         let specs = candidate_specs(mappings.len(), self.policy.budget);
-        let module = module_digest(env, self.source.as_deref(), names);
+        let defined = self
+            .source
+            .as_deref()
+            .map(source_constants)
+            .unwrap_or_default();
+        let module = module_digest(env, self.source.as_deref(), names, &defined, &self.names);
+        // Source constants under a renaming rule's source prefix join the
+        // work list.
+        let mut work: Vec<&str> = names.to_vec();
+        for n in &defined {
+            let from_prefixed = self
+                .names
+                .rules()
+                .iter()
+                .any(|(from, _)| n.starts_with(from.as_str()));
+            if from_prefixed && !work.contains(&n.as_str()) {
+                work.push(n);
+            }
+        }
 
         // Error class of the default (rank-0) candidate — what
         // `AutoExhausted` reports and the minimizer preserves.
         let mut default_class: Option<ErrorClass> = None;
-        // Work list + dependency DAG recorded from the first candidate
-        // whose module loaded; the minimizer replays this DAG, never
-        // re-deriving edges.
-        let mut recorded: Option<(Vec<String>, ModuleDag)> = None;
+        // The work list's dependency DAG, recorded from the first candidate
+        // that prepared; the minimizer replays this DAG, never re-deriving
+        // edges.
+        let mut recorded: Option<ModuleDag> = None;
 
         for (i, spec) in specs.iter().enumerate() {
             if self.cancel.as_ref().is_some_and(CancelToken::cancelled) {
@@ -598,8 +608,13 @@ impl AutoDriver {
                 }
             }
             let start = Instant::now();
-            let attempt =
-                self.run_candidate(env, names, spec, &mappings, true, Some(&mut recorded));
+            let attempt = self.prepare(env, spec, &mappings).and_then(|prepared| {
+                if recorded.is_none() {
+                    let nodes: Vec<GlobalName> = work.iter().map(|n| GlobalName::new(*n)).collect();
+                    recorded = Some(ModuleDag::build(&prepared.env, &nodes));
+                }
+                self.attempt(&prepared, &work)
+            });
             let cost_ns = if self.policy.deterministic {
                 0
             } else {
@@ -652,22 +667,33 @@ impl AutoDriver {
         // failures: a partial sweep can't certify "fails under every
         // candidate".
         let class = default_class.unwrap_or(ErrorClass::Cancelled);
-        if self.policy.minimize && auto.complete && default_class.is_some() {
-            if let Some((work, dag)) = &recorded {
-                if work.len() > 1 {
-                    let refs: Vec<&str> = work.iter().map(String::as_str).collect();
-                    let oracle = |subset: &[&str]| -> Option<ErrorClass> {
-                        let mut first: Option<ErrorClass> = None;
-                        for spec in &specs {
-                            match self.run_candidate(env, subset, spec, &mappings, false, None) {
-                                Ok(_) => return None,
-                                Err(e) => first = first.or(Some(e.class())),
-                            }
+        if self.policy.minimize && auto.complete && default_class.is_some() && work.len() > 1 {
+            if let Some(dag) = &recorded {
+                // Preparation does not depend on the subset, so each
+                // candidate is prepared lazily, at most once, and every
+                // probe only attempts the repair. A preparation failure is
+                // that candidate's verdict on every subset.
+                let mut prepared: Vec<Option<_>> = specs.iter().map(|_| None).collect();
+                let oracle = |subset: &[&str]| -> Option<ErrorClass> {
+                    let mut first: Option<ErrorClass> = None;
+                    for (spec, slot) in specs.iter().zip(&mut prepared) {
+                        let verdict = match slot.get_or_insert_with(|| {
+                            self.prepare(env, spec, &mappings).map_err(|e| e.class())
+                        }) {
+                            Ok(p) => self.attempt(p, subset).err().map(|e| e.class()),
+                            Err(c) => Some(*c),
+                        };
+                        match verdict {
+                            None => return None,
+                            // A first failure of another class already
+                            // decides the probe: not "still failing".
+                            Some(c) if first.is_none() && c != class => return Some(c),
+                            Some(c) => first = first.or(Some(c)),
                         }
-                        first
-                    };
-                    auto.reproducer = Some(minimize(&refs, dag, self.policy.seed, class, oracle));
-                }
+                    }
+                    first
+                };
+                auto.reproducer = Some(minimize(&work, dag, self.policy.seed, class, oracle));
             }
         }
         let err = RepairError::AutoExhausted {
@@ -678,52 +704,25 @@ impl AutoDriver {
         (auto, Err(err))
     }
 
-    /// Runs one candidate against a throwaway clone of `env`: smart
-    /// eliminators (if toggled), module source, configuration, lift state,
-    /// then a full [`Repairer`] run with the kernel as oracle. Returns the
-    /// trial environment (to install on success) and the run's report.
-    /// With `extend` set, source constants under a renaming rule's source
-    /// prefix join the work list; the minimizer's oracle passes exact
-    /// subsets instead.
-    fn run_candidate(
+    /// Everything about a candidate that does not depend on the work
+    /// list (paper Fig. 6: Configure runs once per equivalence): a clone of
+    /// `env` with the smart eliminators (if toggled) and the module source
+    /// loaded, and the lifting configured for the candidate's mapping.
+    fn prepare(
         &self,
         env: &Env,
-        names: &[&str],
         spec: &CandidateSpec,
         mappings: &[Vec<usize>],
-        extend: bool,
-        recorded: Option<&mut Option<(Vec<String>, ModuleDag)>>,
-    ) -> Result<(Env, RepairReport)> {
-        let mut trial = env.clone();
+    ) -> Result<Prepared> {
+        let mut env = env.clone();
         if spec.smart_elim {
-            crate::smartelim::packed_list(&mut trial)?;
+            crate::smartelim::packed_list(&mut env)?;
         }
-        let mut work: Vec<String> = names.iter().map(|s| (*s).to_string()).collect();
         if let Some(src) = &self.source {
-            pumpkin_lang::load_source(&mut trial, src)?;
-            if extend {
-                for n in source_constants(src) {
-                    let from_prefixed = self
-                        .names
-                        .rules()
-                        .iter()
-                        .any(|(from, _)| n.starts_with(from.as_str()));
-                    if from_prefixed && !work.iter().any(|w| w == &n) {
-                        work.push(n);
-                    }
-                }
-            }
-        }
-        if let Some(slot) = recorded {
-            if slot.is_none() {
-                let nodes: Vec<GlobalName> =
-                    work.iter().map(|n| GlobalName::new(n.as_str())).collect();
-                let dag = ModuleDag::build(&trial, &nodes);
-                *slot = Some((work.clone(), dag));
-            }
+            pumpkin_lang::load_source(&mut env, src)?;
         }
         let lifting = swap::configure_with(
-            &mut trial,
+            &mut env,
             &self.a,
             &self.b,
             &mappings[spec.mapping],
@@ -732,29 +731,30 @@ impl AutoDriver {
         let lifting = if spec.eta {
             lifting
         } else {
-            let Lifting {
-                a_name,
-                b_name,
-                matcher,
-                builder,
-                names,
-                equivalence,
-            } = lifting;
             Lifting {
-                a_name,
-                b_name,
-                matcher: Box::new(EtaOff(matcher)),
-                builder,
-                names,
-                equivalence,
+                matcher: Box::new(EtaOff(lifting.matcher)),
+                ..lifting
             }
         };
-        let mut state = if spec.reuse_cache {
+        Ok(Prepared {
+            env,
+            lifting,
+            reuse_cache: spec.reuse_cache,
+        })
+    }
+
+    /// Runs a full [`Repairer`] over `work` on a throwaway clone of the
+    /// prepared environment, with the kernel as oracle; `prepared` itself
+    /// is never mutated, so it serves any number of attempts. Returns the
+    /// trial environment (to install on success) and the run's report.
+    fn attempt(&self, prepared: &Prepared, work: &[&str]) -> Result<(Env, RepairReport)> {
+        let mut trial = prepared.env.clone();
+        let mut state = if prepared.reuse_cache {
             LiftState::new()
         } else {
             LiftState::without_cache()
         };
-        let mut repairer = Repairer::new(&lifting)
+        let mut repairer = Repairer::new(&prepared.lifting)
             .jobs(self.jobs)
             .trace(self.capture)
             .state(&mut state);
@@ -766,10 +766,17 @@ impl AutoDriver {
         if let Some(tok) = &self.cancel {
             repairer = repairer.cancel(tok.clone());
         }
-        let refs: Vec<&str> = work.iter().map(String::as_str).collect();
-        let report = repairer.run(&mut trial, &refs)?;
+        let report = repairer.run(&mut trial, work)?;
         Ok((trial, report))
     }
+}
+
+/// A candidate's configured trial environment, from
+/// [`AutoDriver::prepare`].
+struct Prepared {
+    env: Env,
+    lifting: Lifting,
+    reuse_cache: bool,
 }
 
 /// Constant names (`Definition`/`Axiom`) declared by a vernacular source
@@ -979,18 +986,121 @@ mod tests {
     #[test]
     fn module_digest_tracks_reachable_dependency_edits() {
         let env = stdlib::std_env();
-        let base = module_digest(&env, None, &["Old.rev"]);
-        assert_eq!(base, module_digest(&env, None, &["Old.rev"]));
-        assert_ne!(base, module_digest(&env, None, &["Old.app"]));
-        assert_ne!(base, module_digest(&env, Some("(* x *)"), &["Old.rev"]));
+        let rename = NameMap::prefix("Old.", "New.");
+        let digest = |env: &Env, src: Option<&str>, names: &[&str]| {
+            module_digest(env, src, names, &[], &rename)
+        };
+        let base = digest(&env, None, &["Old.rev"]);
+        assert_eq!(base, digest(&env, None, &["Old.rev"]));
+        assert_ne!(base, digest(&env, None, &["Old.app"]));
+        assert_ne!(base, digest(&env, Some("(* x *)"), &["Old.rev"]));
         // Two constants with identical work-list names but different
         // reachable declarations must digest differently.
         let digest_src = "Definition Old.rev_digest_probe : nat := O.";
         let mut with_extra = stdlib::std_env();
         pumpkin_lang::load_source(&mut with_extra, digest_src).unwrap();
         assert_ne!(
-            module_digest(&with_extra, None, &["Old.rev_digest_probe"]),
-            module_digest(&with_extra, None, &["Old.rev"]),
+            digest(&with_extra, None, &["Old.rev_digest_probe"]),
+            digest(&with_extra, None, &["Old.rev"]),
         );
+        // A resident renaming target changes the key: the repair would
+        // collide with it.
+        let mut with_target = with_extra.clone();
+        pumpkin_lang::load_source(
+            &mut with_target,
+            "Definition New.rev_digest_probe : nat := O.",
+        )
+        .unwrap();
+        assert_ne!(
+            digest(&with_extra, None, &["Old.rev_digest_probe"]),
+            digest(&with_target, None, &["Old.rev_digest_probe"]),
+        );
+        // So does one that a source-defined constant would be renamed to.
+        let src = "Definition Old.digest_src_probe : nat := O.";
+        let defined = vec!["Old.digest_src_probe".to_string()];
+        let mut env_target = stdlib::std_env();
+        pumpkin_lang::load_source(
+            &mut env_target,
+            "Definition New.digest_src_probe : nat := O.",
+        )
+        .unwrap();
+        assert_ne!(
+            module_digest(&env, Some(src), &[], &defined, &rename),
+            module_digest(&env_target, Some(src), &[], &defined, &rename),
+        );
+    }
+
+    #[test]
+    fn failure_cache_misses_once_a_colliding_target_is_gone() {
+        // With `New.<x>` resident every candidate fails (a redeclaration);
+        // without it the same module repairs cleanly. The cached failures
+        // of the first run must not answer the second.
+        let old =
+            "Definition Old.auto_stale_probe : forall (T : Type 1), Old.list T -> Old.list T := \
+                   fun (T : Type 1) (l : Old.list T) => l.";
+        let clash = "Definition New.auto_stale_probe : nat := O.";
+        let policy = AutoPolicy {
+            minimize: false,
+            deterministic: true,
+            ..AutoPolicy::default()
+        };
+        let mut colliding = stdlib::std_env();
+        pumpkin_lang::load_source(&mut colliding, clash).unwrap();
+        pumpkin_lang::load_source(&mut colliding, old).unwrap();
+        let (first, result) =
+            Repairer::auto(policy.clone()).run(&mut colliding, &["Old.auto_stale_probe"]);
+        assert!(result.is_err());
+        assert_eq!(first.tried, 8, "{}", first.summary());
+
+        let mut clean = stdlib::std_env();
+        pumpkin_lang::load_source(&mut clean, old).unwrap();
+        let (second, result) = Repairer::auto(policy).run(&mut clean, &["Old.auto_stale_probe"]);
+        let report = result.unwrap_or_else(|e| panic!("{e}: {}", second.summary()));
+        assert_eq!(second.skipped_cache, 0);
+        assert_eq!(
+            report.renamed("Old.auto_stale_probe").unwrap().as_str(),
+            "New.auto_stale_probe"
+        );
+    }
+
+    #[test]
+    fn prepared_candidates_answer_like_fresh_ones_on_every_subset() {
+        // Attempts never mutate the prepared environment they clone: on
+        // every subset of the collision module's work list, every
+        // candidate gives the same verdict whether its preparation is
+        // shared with all earlier attempts or made afresh.
+        let src = "Definition New.auto_prep_clash : nat := O.\n\
+                   Definition Old.auto_prep_clash : forall (T : Type 1), Old.list T -> Old.list T := \
+                   fun (T : Type 1) (l : Old.list T) => l.";
+        let work = ["Old.rev", "Old.app", "Old.length", "Old.auto_prep_clash"];
+        let env = stdlib::std_env();
+        let search = Repairer::auto(AutoPolicy::default()).source(src);
+        let mappings = swap::discover_mappings_bounded(
+            env.inductive(&search.a).unwrap(),
+            env.inductive(&search.b).unwrap(),
+            MAPPING_CAP,
+        );
+        let specs = candidate_specs(mappings.len(), None);
+        assert_eq!(specs.len(), 8);
+        let verdict = |prepared: &Result<Prepared>, subset: &[&str]| match prepared {
+            Ok(p) => search.attempt(p, subset).err().map(|e| e.class()),
+            Err(e) => Some(e.class()),
+        };
+        for spec in &specs {
+            let shared = search.prepare(&env, spec, &mappings);
+            for mask in 0..1u32 << work.len() {
+                let subset: Vec<&str> = (0..work.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| work[i])
+                    .collect();
+                let fresh = search.prepare(&env, spec, &mappings);
+                assert_eq!(
+                    verdict(&shared, &subset),
+                    verdict(&fresh, &subset),
+                    "{} on {subset:?}",
+                    spec.describe()
+                );
+            }
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! test-case reduction (ITP 2022).
 //!
 //! When [`crate::auto`]'s candidate search exhausts every configuration,
-//! the work list is greedily reduced: drop one constant at a time (in a
-//! seed-replayable order via [`pumpkin_testkit::Rng`]) and keep the drop
-//! only if the shrunk list still fails *with the original error class*.
+//! the work list is reduced large chunks first: drop halves, then
+//! quarters, down to single constants (in a seed-replayable order via
+//! [`pumpkin_testkit::Rng`]), keeping a drop only if the shrunk list still
+//! fails *with the original error class*.
 //! Dependency structure is replayed through the **recorded**
 //! [`crate::schedule::ModuleDag`] — edges are computed once by the failing
 //! run and never re-derived here: entries already inside another entry's
@@ -86,7 +87,7 @@ fn closure(dag: &ModuleDag, seeds: &[usize]) -> HashSet<usize> {
     seen
 }
 
-/// Greedily shrinks `names` to a minimal sub-list that still fails with
+/// Shrinks `names` to a 1-minimal sub-list that still fails with
 /// `target` according to `oracle` (which returns the failure class of a
 /// candidate work list, or `None` when it repairs cleanly).
 ///
@@ -136,38 +137,31 @@ pub fn minimize(
         current = pruned;
     }
 
-    // Phase 2 — greedy one-at-a-time drops in a seeded order, repeated
-    // until a full pass removes nothing (the greedy fixpoint).
+    // Phase 2 — complement removal at halving granularity: try dropping
+    // seeded-shuffled chunks of ⌈len/2⌉, then ⌈len/4⌉, and so on. A chunk
+    // size is kept while its drops succeed (reshuffling over the shrunk
+    // list), and size 1 runs to the single-drop fixpoint, so the result
+    // is 1-minimal. One culprit among n names costs ≤ 2·⌈log₂ n⌉ probes.
     let mut rng = Rng::new(seed);
-    loop {
-        if current.len() <= 1 {
-            break;
-        }
-        let mut order: Vec<usize> = (0..current.len()).collect();
-        // Fisher–Yates with the replayable stream.
-        for i in (1..order.len()).rev() {
-            let j = rng.below(i as u64 + 1) as usize;
-            order.swap(i, j);
-        }
-        let mut dropped_any = false;
-        for &k in &order {
-            if current.len() <= 1 {
-                break;
-            }
-            let Some(victim) = current.get(k).copied() else {
-                continue;
-            };
-            let trial: Vec<&str> = current.iter().copied().filter(|n| *n != victim).collect();
-            if check(&trial) {
-                current = trial;
-                dropped_any = true;
-                // Indices in `order` refer to the pre-drop list; restart
-                // the pass over the shrunk list.
-                break;
-            }
-        }
-        if !dropped_any {
-            break;
+    let mut chunk = current.len().div_ceil(2);
+    while current.len() > 1 {
+        // Never a chunk as large as the list: dropping everything is not
+        // a reduction worth a probe.
+        chunk = chunk.min(current.len().div_ceil(2));
+        let order = rng.permutation(current.len());
+        let shrunk = order.chunks(chunk).find_map(|victims| {
+            let trial: Vec<&str> = current
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !victims.contains(i))
+                .map(|(_, n)| *n)
+                .collect();
+            check(&trial).then_some(trial)
+        });
+        match shrunk {
+            Some(trial) => current = trial,
+            None if chunk == 1 => break,
+            None => chunk = chunk.div_ceil(2),
         }
     }
 
@@ -264,5 +258,97 @@ mod tests {
         let r = minimize(&["a", "b", "c", "d"], &dag, 11, ErrorClass::Kernel, oracle);
         assert!(r.names.contains(&"a".to_string()));
         assert!(r.names.contains(&"b".to_string()));
+    }
+
+    /// A seeded toy module: up to 32 names, random edges from each name to
+    /// earlier ones, and 1–3 culprits. It fails with class `kernel` iff
+    /// every culprit lies in the recorded closure of the work list
+    /// (repairing a dependent repairs its prerequisites on demand).
+    struct Toy {
+        names: Vec<String>,
+        dag: ModuleDag,
+        culprits: Vec<usize>,
+    }
+
+    impl Toy {
+        fn random(rng: &mut Rng, max_culprits: usize, edges: bool) -> Toy {
+            let n = 1 + rng.index(32);
+            let names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
+            let deps = (0..n)
+                .map(|i| (0..i).filter(|_| edges && rng.chance(1, 6)).collect())
+                .collect();
+            let mut culprits = rng.permutation(n);
+            culprits.truncate(1 + rng.index(max_culprits.min(n)));
+            Toy {
+                dag: ModuleDag {
+                    nodes: names.iter().map(|n| GlobalName::new(n.as_str())).collect(),
+                    deps,
+                },
+                names,
+                culprits,
+            }
+        }
+
+        fn refs(&self) -> Vec<&str> {
+            self.names.iter().map(String::as_str).collect()
+        }
+
+        fn oracle(&self, subset: &[&str]) -> Option<ErrorClass> {
+            let seeds: Vec<usize> = subset
+                .iter()
+                .filter_map(|s| self.names.iter().position(|n| n == s))
+                .collect();
+            let reached = closure(&self.dag, &seeds);
+            self.culprits
+                .iter()
+                .all(|c| reached.contains(c))
+                .then_some(ErrorClass::Kernel)
+        }
+    }
+
+    #[test]
+    fn reductions_are_failing_one_minimal_and_replayable() {
+        pumpkin_testkit::check(300, |rng| {
+            let toy = Toy::random(rng, 3, true);
+            let names = toy.refs();
+            let seed = rng.u64();
+            let run = || {
+                minimize(&names, &toy.dag, seed, ErrorClass::Kernel, |s| {
+                    toy.oracle(s)
+                })
+            };
+            let r = run();
+            let kept: Vec<&str> = r.names.iter().map(String::as_str).collect();
+            assert_eq!(toy.oracle(&kept), Some(ErrorClass::Kernel), "{r:?}");
+            for i in 0..kept.len() {
+                let mut fewer = kept.clone();
+                let dropped = fewer.remove(i);
+                assert_eq!(
+                    toy.oracle(&fewer),
+                    None,
+                    "dropping {dropped} from {kept:?} still fails: not 1-minimal"
+                );
+            }
+            assert_eq!(run(), r, "same seed, same reproducer");
+        });
+    }
+
+    #[test]
+    fn one_culprit_costs_logarithmic_probes() {
+        pumpkin_testkit::check(300, |rng| {
+            let toy = Toy::random(rng, 1, false);
+            let names = toy.refs();
+            let r = minimize(&names, &toy.dag, rng.u64(), ErrorClass::Kernel, |s| {
+                toy.oracle(s)
+            });
+            assert_eq!(r.names, vec![toy.names[toy.culprits[0]].clone()]);
+            let log2 = u64::from(names.len().next_power_of_two().trailing_zeros());
+            assert!(
+                r.steps <= 2 * log2 + 2,
+                "{} probes for one culprit among {} names",
+                r.steps,
+                names.len()
+            );
+        });
     }
 }

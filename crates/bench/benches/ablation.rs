@@ -4,9 +4,9 @@
 //! * `lift_cache/{on,off}` — the §4.4 "aggressive caching" of intermediate
 //!   subterm liftings (added for the industrial proof engineer's ten-second
 //!   budget);
-//! * `kernel_cache/{on,off}` — the kernel-layer conv/whnf memo tables on
-//!   the whole `Swap.v` list-module repair, with hit/miss counters from
-//!   `kernel::stats`;
+//! * `kernel_cache/{on,off}` — the kernel-layer closed-term memo tables
+//!   (NbE values and inferred types) on the whole `Swap.v` list-module
+//!   repair, with call and step counters from `kernel::stats`;
 //! * `repair_parallel/jobs=N` — the wavefront module-repair scheduler on
 //!   the same workload, sweeping worker counts (default {1, 2, 4}; pin
 //!   with `--jobs N` or `PUMPKIN_JOBS=N`), with per-wave/per-worker
@@ -77,9 +77,9 @@ fn bench_lift_cache_ablation(b: &mut Bench) {
 
 fn bench_kernel_cache_ablation(b: &mut Bench) {
     // The tentpole workload: the whole `Swap.v` list-module repair, with
-    // the kernel conv/whnf memo tables enabled vs disabled. One
-    // instrumented run per arm prints the `kernel::stats` counters so the
-    // hit rate backing the speedup is visible next to the timing.
+    // the kernel nf/ty memo tables enabled vs disabled. One instrumented
+    // run per arm prints the `kernel::stats` counters so the work the
+    // memos save is visible next to the timing.
     let base = stdlib::std_env();
     for (label, enabled) in [("on", true), ("off", false)] {
         b.bench(
@@ -363,25 +363,28 @@ fn bench_persist_cache(b: &mut Bench) {
     // probe. bench_guard.sh gates this row at <= 0.3x of the full warm
     // repair above.
     let touched = "Old.fold_app";
-    let (session_env, session_lifting) = {
+    let (session_env, session_lifting, session_report) = {
         let mut env = base.clone();
         let lifting = configure(&mut env);
         let mut st = LiftState::new();
-        pumpkin_core::Repairer::new(&lifting)
+        let report = pumpkin_core::Repairer::new(&lifting)
             .state(&mut st)
             .run(&mut env, stdlib::swap::OLD_MODULE_CONSTANTS)
             .unwrap();
-        (env, lifting)
+        (env, lifting, report)
     };
     let snapshot = || {
-        // Capture the full module (digests + dependency edges), then
-        // force the touched constant to diff as changed — the same
-        // effect as an edited body, without needing to redefine a
-        // referenced constant in place. Keeping its recorded edges lets
-        // the run close the invalidation over the snapshot instead of
-        // rebuilding the module DAG.
-        let mut snap =
-            pumpkin_core::DigestMap::capture(&session_env, stdlib::swap::OLD_MODULE_CONSTANTS);
+        // Capture the full module (digests, dependency edges and the
+        // resident repair targets), then force the touched constant to
+        // diff as changed — the same effect as an edited body, without
+        // needing to redefine a referenced constant in place. Keeping its
+        // recorded edges lets the run close the invalidation over the
+        // snapshot instead of rebuilding the module DAG.
+        let mut snap = pumpkin_core::DigestMap::capture_repaired(
+            &session_env,
+            stdlib::swap::OLD_MODULE_CONSTANTS,
+            &session_report,
+        );
         snap.mark_changed(&touched.into());
         snap
     };

@@ -1,9 +1,9 @@
 //! Automatic repair search: a Houdini-style evaluate-fix-retry driver
 //! ([`AutoDriver`], behind [`crate::Repairer::auto`]) that enumerates
 //! ranked candidate configurations — constructor-mapping permutations in
-//! [`crate::search::swap`]'s ranked order, eta/iota matching toggles,
-//! smart eliminators on/off, cached-mapping reuse on/off — and runs each
-//! through the kernel as the oracle until one repair fully checks.
+//! [`crate::search::swap`]'s ranked order, eta/iota matching toggles, and
+//! smart eliminators on/off — and runs each through the kernel as the
+//! oracle until one repair fully checks.
 //!
 //! Known-dead candidates are remembered **process-wide** in a failure
 //! cache keyed by `(configuration digest, module digest)`: both keys are
@@ -81,7 +81,7 @@ impl Default for AutoPolicy {
 }
 
 /// One candidate configuration: a constructor mapping index into the
-/// ranked enumeration, plus the three engine toggles.
+/// ranked enumeration, plus the two engine toggles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CandidateSpec {
     /// Index into [`swap::discover_mappings_bounded`]'s ranked order.
@@ -90,8 +90,6 @@ pub struct CandidateSpec {
     pub eta: bool,
     /// Define the smart-eliminator combinators before loading the module.
     pub smart_elim: bool,
-    /// Reuse the closed-subterm lift cache within the run.
-    pub reuse_cache: bool,
 }
 
 impl CandidateSpec {
@@ -99,18 +97,17 @@ impl CandidateSpec {
     pub fn describe(&self) -> String {
         let onoff = |b: bool| if b { "on" } else { "off" };
         format!(
-            "mapping#{} eta={} smart_elim={} cache={}",
+            "mapping#{} eta={} smart_elim={}",
             self.mapping,
             onoff(self.eta),
-            onoff(self.smart_elim),
-            onoff(self.reuse_cache)
+            onoff(self.smart_elim)
         )
     }
 
     /// Content-addressed digest of the full candidate configuration.
     fn digest(&self, a: &GlobalName, b: &GlobalName, names: &NameMap, perm: &[usize]) -> u64 {
         let mut d = DigestBuilder::new();
-        d.write_str("auto-config/1");
+        d.write_str("auto-config/2");
         d.write_str(a.as_str());
         d.write_str(b.as_str());
         for (from, to) in names.rules() {
@@ -123,7 +120,6 @@ impl CandidateSpec {
         }
         d.write_u64(u64::from(self.eta));
         d.write_u64(u64::from(self.smart_elim));
-        d.write_u64(u64::from(self.reuse_cache));
         d.finish()
     }
 }
@@ -396,37 +392,25 @@ impl SideMatch for EtaOff {
     }
 }
 
-/// The ranked candidate enumeration: all eight toggle combinations on the
+/// The ranked candidate enumeration: all four toggle combinations on the
 /// best-ranked mapping (defaults first), then the two most useful toggle
 /// combinations on every lower-ranked mapping.
 fn candidate_specs(mappings: usize, budget: Option<usize>) -> Vec<CandidateSpec> {
-    const TOGGLES: [(bool, bool, bool); 8] = [
-        // (eta, smart_elim, reuse_cache) — the default configuration first.
-        (true, false, true),
-        (true, true, true),
-        (false, false, true),
-        (false, true, true),
-        (true, false, false),
-        (true, true, false),
-        (false, false, false),
-        (false, true, false),
+    const TOGGLES: [(bool, bool); 4] = [
+        // (eta, smart_elim) — the default configuration first.
+        (true, false),
+        (true, true),
+        (false, false),
+        (false, true),
     ];
     let mut specs = Vec::new();
-    for &(eta, smart_elim, reuse_cache) in &TOGGLES {
-        specs.push(CandidateSpec {
-            mapping: 0,
-            eta,
-            smart_elim,
-            reuse_cache,
-        });
-    }
-    for mapping in 1..mappings {
-        for &(eta, smart_elim, reuse_cache) in &TOGGLES[..2] {
+    for mapping in 0..mappings.max(1) {
+        let toggles = if mapping == 0 { TOGGLES.len() } else { 2 };
+        for &(eta, smart_elim) in &TOGGLES[..toggles] {
             specs.push(CandidateSpec {
                 mapping,
                 eta,
                 smart_elim,
-                reuse_cache,
             });
         }
     }
@@ -736,11 +720,7 @@ impl AutoDriver {
                 ..lifting
             }
         };
-        Ok(Prepared {
-            env,
-            lifting,
-            reuse_cache: spec.reuse_cache,
-        })
+        Ok(Prepared { env, lifting })
     }
 
     /// Runs a full [`Repairer`] over `work` on a throwaway clone of the
@@ -749,11 +729,7 @@ impl AutoDriver {
     /// trial environment (to install on success) and the run's report.
     fn attempt(&self, prepared: &Prepared, work: &[&str]) -> Result<(Env, RepairReport)> {
         let mut trial = prepared.env.clone();
-        let mut state = if prepared.reuse_cache {
-            LiftState::new()
-        } else {
-            LiftState::without_cache()
-        };
+        let mut state = LiftState::new();
         let mut repairer = Repairer::new(&prepared.lifting)
             .jobs(self.jobs)
             .trace(self.capture)
@@ -776,7 +752,6 @@ impl AutoDriver {
 struct Prepared {
     env: Env,
     lifting: Lifting,
-    reuse_cache: bool,
 }
 
 /// Constant names (`Definition`/`Axiom`) declared by a vernacular source
@@ -809,7 +784,7 @@ mod tests {
         let report = result.unwrap();
         assert_eq!(
             auto.winner.as_deref(),
-            Some("mapping#0 eta=on smart_elim=off cache=on")
+            Some("mapping#0 eta=on smart_elim=off")
         );
         assert_eq!(auto.tried, 1);
         assert_eq!(auto.rejected, 0);
@@ -837,7 +812,7 @@ mod tests {
         let report = result.unwrap();
         assert_eq!(
             auto.winner.as_deref(),
-            Some("mapping#0 eta=on smart_elim=on cache=on"),
+            Some("mapping#0 eta=on smart_elim=on"),
             "{}",
             auto.summary()
         );
@@ -865,7 +840,7 @@ mod tests {
             .source(src)
             .run(&mut env, &[]);
         assert!(err.is_err());
-        assert_eq!(cold.tried, 8, "{}", cold.summary());
+        assert_eq!(cold.tried, 4, "{}", cold.summary());
         assert_eq!(cold.skipped_cache, 0);
         // Same module again, same process: every candidate skips.
         let mut env2 = stdlib::std_env();
@@ -878,7 +853,7 @@ mod tests {
             other => panic!("expected AutoExhausted, got {other:?}"),
         }
         assert_eq!(warm.tried, 0);
-        assert_eq!(warm.skipped_cache, 8);
+        assert_eq!(warm.skipped_cache, 4);
         assert!(!env2.contains("New.auto_cache_probe_repaired"));
     }
 
@@ -968,19 +943,49 @@ mod tests {
     #[test]
     fn budget_truncates_the_enumeration() {
         let specs = candidate_specs(3, None);
-        assert_eq!(specs.len(), 8 + 2 * 2);
+        assert_eq!(specs.len(), 4 + 2 * 2);
         assert_eq!(
             specs[0],
             CandidateSpec {
                 mapping: 0,
                 eta: true,
                 smart_elim: false,
-                reuse_cache: true
             },
             "the default configuration must come first"
         );
         assert_eq!(candidate_specs(3, Some(5)).len(), 5);
         assert_eq!(candidate_specs(3, Some(0)).len(), 1, "budget clamps to 1");
+    }
+
+    #[test]
+    fn candidate_specs_are_distinct_with_the_default_first() {
+        let default = CandidateSpec {
+            mapping: 0,
+            eta: true,
+            smart_elim: false,
+        };
+        for m in 1..=6 {
+            let specs = candidate_specs(m, None);
+            assert_eq!(specs.len(), 4 + 2 * (m - 1), "m = {m}");
+            assert_eq!(specs[0], default, "m = {m}");
+            for (i, a) in specs.iter().enumerate() {
+                assert!(
+                    specs[i + 1..].iter().all(|b| b != a),
+                    "m = {m}: {} enumerated twice",
+                    a.describe()
+                );
+            }
+            for budget in 0..specs.len() + 2 {
+                let cut = candidate_specs(m, Some(budget));
+                assert_eq!(cut.len(), budget.clamp(1, specs.len()));
+                assert_eq!(cut[0], default, "m = {m}, budget = {budget}");
+                assert_eq!(
+                    cut[..],
+                    specs[..cut.len()],
+                    "a budget keeps the ranked prefix"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1050,7 +1055,7 @@ mod tests {
         let (first, result) =
             Repairer::auto(policy.clone()).run(&mut colliding, &["Old.auto_stale_probe"]);
         assert!(result.is_err());
-        assert_eq!(first.tried, 8, "{}", first.summary());
+        assert_eq!(first.tried, 4, "{}", first.summary());
 
         let mut clean = stdlib::std_env();
         pumpkin_lang::load_source(&mut clean, old).unwrap();
@@ -1081,7 +1086,7 @@ mod tests {
             MAPPING_CAP,
         );
         let specs = candidate_specs(mappings.len(), None);
-        assert_eq!(specs.len(), 8);
+        assert_eq!(specs.len(), 4);
         let verdict = |prepared: &Result<Prepared>, subset: &[&str]| match prepared {
             Ok(p) => search.attempt(p, subset).err().map(|e| e.class()),
             Err(e) => Some(e.class()),

@@ -26,13 +26,16 @@ use pumpkin_kernel::env::Env;
 use pumpkin_kernel::name::GlobalName;
 use pumpkin_wire::{decl_digest, TermDigest};
 
+use crate::repair::RepairReport;
 use crate::schedule::ModuleDag;
 
 /// A snapshot of source-declaration content digests from one repair run,
-/// together with the work-list dependency edges observed at capture time.
+/// together with the work-list dependency edges observed at capture time
+/// and, when captured from a repair report, the targets that run produced.
 ///
-/// Capture it after a successful repair with [`DigestMap::capture`]; diff
-/// a later environment against it with [`DigestMap::diff`]. Constants the
+/// Capture it after a successful repair with [`DigestMap::capture_repaired`]
+/// (or [`DigestMap::capture`], which records no targets); diff a later
+/// environment against it with [`DigestMap::diff`]. Constants the
 /// environment no longer has are simply absent from the next capture —
 /// deletion needs no repair work, so it never enters the changed set.
 ///
@@ -50,6 +53,11 @@ pub struct DigestMap {
     /// (directly, or transitively through constants outside the captured
     /// list), as recorded by the capture-time [`ModuleDag`].
     deps: HashMap<GlobalName, Vec<GlobalName>>,
+    /// `targets[n]` = the repair target the captured run produced for `n`
+    /// and that target's declaration digest. Incremental green reuse
+    /// trusts a resident target only if it still has this digest; a
+    /// snapshot without targets never reuses one.
+    targets: HashMap<GlobalName, (GlobalName, TermDigest)>,
 }
 
 impl DigestMap {
@@ -81,7 +89,34 @@ impl DigestMap {
                 (n.clone(), named)
             })
             .collect();
-        DigestMap { digests, deps }
+        DigestMap {
+            digests,
+            deps,
+            targets: HashMap::new(),
+        }
+    }
+
+    /// [`DigestMap::capture`] plus the repair target `report` records for
+    /// each of `names`, with the target's declaration digest in `env`: the
+    /// resident outputs a later incremental run may reuse as they are.
+    pub fn capture_repaired(env: &Env, names: &[&str], report: &RepairReport) -> DigestMap {
+        let mut snap = DigestMap::capture(env, names);
+        for n in names {
+            let Some(to) = report.renamed(n) else {
+                continue;
+            };
+            if let Ok(decl) = env.const_decl(to) {
+                snap.targets
+                    .insert(GlobalName::new(*n), (to.clone(), decl_digest(decl)));
+            }
+        }
+        snap
+    }
+
+    /// The recorded repair target of `name` and its declaration digest,
+    /// if the snapshot was captured from a repair report.
+    pub(crate) fn target(&self, name: &GlobalName) -> Option<&(GlobalName, TermDigest)> {
+        self.targets.get(name)
     }
 
     /// Marks a constant as changed for the next [`DigestMap::diff`] by

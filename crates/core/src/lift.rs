@@ -10,8 +10,11 @@
 //! successful repair is well-typed by construction.
 //!
 //! Caching mirrors paper §4.4: intermediate *closed* subterm liftings are
-//! memoized (`cache_enabled`), and the whole-constant mapping is always
-//! cached.
+//! memoized by [`TermId`] (`cache_enabled`), so a subterm shared through
+//! hash-consing is lifted once however often it occurs, and the
+//! whole-constant mapping is always cached. Of this repository's memo
+//! tables the subterm cache is the one that pays on heavily shared terms
+//! (DESIGN.md §9).
 
 use std::collections::{HashMap, HashSet};
 
@@ -20,6 +23,7 @@ use pumpkin_kernel::error::KernelError;
 use pumpkin_kernel::intern::TermId;
 use pumpkin_kernel::name::GlobalName;
 use pumpkin_kernel::term::{Binder, ElimData, Term, TermData};
+use pumpkin_wire::{decl_digest, TermDigest};
 
 use crate::config::{Lifting, MatchedElim, MatchedProj};
 use crate::error::{RepairError, Result};
@@ -27,9 +31,9 @@ use crate::prov::{ConstProv, ProvRecorder, Rule};
 
 /// Counters exposed for the benchmark harness (cache ablation, §6.4).
 ///
-/// These measure the *lift-layer* closed-subterm cache; the kernel-layer
-/// conv/whnf cache underneath it reports through
-/// [`pumpkin_kernel::stats::KernelStats`] (see `Env::kernel_stats`).
+/// These measure the *lift-layer* closed-subterm cache; the kernel
+/// underneath it reports through [`pumpkin_kernel::stats::KernelStats`]
+/// (see `Env::kernel_stats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LiftStats {
     /// Closed-subterm cache hits.
@@ -136,11 +140,13 @@ pub struct LiftState {
     invalidated: HashSet<GlobalName>,
     /// Salsa-style "green" constants for this run: work-list members whose
     /// digest matched the incremental snapshot and that sit outside the
-    /// invalidation closure. When such a constant's repair target already
-    /// lives in the environment (a session-resident world), the target is
-    /// the previous validated run's output for this exact input, so the
-    /// mapping is reused with no lift and no cache probe.
-    green: HashSet<GlobalName>,
+    /// invalidation closure, each with the repair target the snapshot's
+    /// run produced and that target's declaration digest. When the target
+    /// still lives in the environment with that digest (a
+    /// session-resident world), it is the previous validated run's output
+    /// for this exact input, so the mapping is reused with no lift and no
+    /// cache probe.
+    green: HashMap<GlobalName, (GlobalName, TermDigest)>,
     /// Per-constant outcome of this run's repairs (fresh lift vs. persist
     /// replay); see [`LiftOutcome`].
     outcomes: HashMap<GlobalName, LiftOutcome>,
@@ -215,10 +221,11 @@ impl LiftState {
     }
 
     /// Installs the incremental "green" set (snapshot-unchanged work-list
-    /// constants outside the invalidation closure); see the field doc.
-    /// Set by [`crate::Repairer::incremental`] before the run.
-    pub fn set_green(&mut self, names: HashSet<GlobalName>) {
-        self.green = names;
+    /// constants outside the invalidation closure, with their recorded
+    /// targets); see the field doc. Set by
+    /// [`crate::Repairer::incremental`] before the run.
+    pub fn set_green(&mut self, green: HashMap<GlobalName, (GlobalName, TermDigest)>) {
+        self.green = green;
     }
 
     /// Drops the repaired mappings for `names`, so a state threaded from
@@ -385,18 +392,12 @@ pub fn lift_term(env: &mut Env, l: &Lifting, st: &mut LiftState, t: &Term) -> Re
         if let Some(hit) = st.term_cache.get(&t.id()) {
             let hit = hit.clone();
             st.stats.cache_hits += 1;
-            env.tracer().emit(pumpkin_trace::EventKind::CacheHit {
-                table: pumpkin_trace::CacheTable::Lift,
-            });
             // The rules that produced the cached result fired under the
             // constant that first lifted this subterm; here they replay as
             // one opaque rewrite.
             st.prov_site(Rule::Cached, t, &hit);
             return Ok(hit);
         }
-        env.tracer().emit(pumpkin_trace::EventKind::CacheMiss {
-            table: pumpkin_trace::CacheTable::Lift,
-        });
     }
 
     let out = lift_uncached(env, l, st, t)?;
@@ -559,10 +560,14 @@ fn lift_all(env: &mut Env, l: &Lifting, st: &mut LiftState, ts: &[Term]) -> Resu
 }
 
 /// Salsa-style green reuse (DESIGN.md §16): the constant's digest matched
-/// the incremental snapshot and nothing upstream of it changed, so if its
-/// repair target already lives in this environment (a session-resident
+/// the incremental snapshot and nothing upstream of it changed, so if the
+/// repair target the snapshot's run produced still lives in this
+/// environment with the same declaration digest (a session-resident
 /// world), that target is the previous validated run's output for this
-/// exact input — reuse the mapping with no lift and no disk probe.
+/// exact input — reuse the mapping with no lift and no disk probe. A
+/// resident declaration of the same name that the run did not produce
+/// (say, a user's own `New.x`) is not reused: the fresh lift reports the
+/// collision, as a cold run does.
 /// Provenance runs never take this path: they must re-lift to
 /// re-attribute every rewrite site. The [`crate::Repairer`] calls this
 /// before scheduling so green constants never occupy a wave slot;
@@ -574,15 +579,18 @@ pub(crate) fn green_reuse(
     st: &mut LiftState,
     name: &GlobalName,
 ) -> Option<GlobalName> {
-    if st.green.contains(name) && !st.provenance_enabled() {
-        let new_name = l.names.rename(name);
-        if env.contains(new_name.as_str()) {
-            st.outcomes.insert(name.clone(), LiftOutcome::Replayed);
-            st.const_map.insert(name.clone(), new_name.clone());
-            return Some(new_name);
-        }
+    if st.provenance_enabled() {
+        return None;
     }
-    None
+    let (target, digest) = st.green.get(name)?;
+    let new_name = l.names.rename(name);
+    let resident = env.const_decl(&new_name).ok()?;
+    if *target != new_name || decl_digest(resident) != *digest {
+        return None;
+    }
+    st.outcomes.insert(name.clone(), LiftOutcome::Replayed);
+    st.const_map.insert(name.clone(), new_name.clone());
+    Some(new_name)
 }
 
 /// Repairs a single constant across the equivalence, registering the result

@@ -168,15 +168,17 @@ impl<'a> Repairer<'a> {
     }
 
     /// Turns the run differential against a digest snapshot of the last
-    /// repaired module ([`DigestMap::capture`]): work-list constants
-    /// whose source digest is unchanged — and which do not depend on a
-    /// changed one — replay from the persist cache, while the changed
-    /// set's DAG-downstream closure is re-lifted fresh with the persist
-    /// cache bypassed (see [`crate::incr`]). The report's
+    /// repaired module ([`DigestMap::capture_repaired`]): work-list
+    /// constants whose source digest is unchanged — and which do not
+    /// depend on a changed one — reuse the resident target the snapshot
+    /// recorded when it is still in the environment unchanged, or else
+    /// replay from the persist cache, while the changed set's
+    /// DAG-downstream closure is re-lifted fresh with the persist cache
+    /// bypassed (see [`crate::incr`]). The report's
     /// [`RepairReport::incr`] carries the `{changed, replayed, skipped}`
-    /// accounting. Most effective together with
-    /// [`Repairer::persist_cache`]; without it everything re-lifts and
-    /// only the accounting differs.
+    /// accounting. In a fresh environment it is most effective together
+    /// with [`Repairer::persist_cache`]; without either shortcut
+    /// everything re-lifts and only the accounting differs.
     pub fn incremental(mut self, prev: &'a DigestMap) -> Self {
         self.incr_prev = Some(prev);
         self
@@ -338,7 +340,7 @@ impl<'a> Repairer<'a> {
                 nodes
                     .iter()
                     .filter(|n| !inv.contains(*n))
-                    .cloned()
+                    .filter_map(|n| Some((n.clone(), prev.target(n)?.clone())))
                     .collect(),
             );
             state.set_invalidated(inv);
@@ -595,7 +597,6 @@ mod tests {
     use crate::config::NameMap;
     use crate::search::swap;
     use pumpkin_stdlib as stdlib;
-    use pumpkin_trace::CacheTable;
 
     fn configured() -> (Env, Lifting) {
         let mut env = stdlib::std_env();
@@ -641,14 +642,6 @@ mod tests {
             EventKind::LiftConstant { name } if &**name == "Old.rev_app_distr"
         )));
         assert!(has(&|k| matches!(k, EventKind::Whnf)));
-        assert!(has(&|k| matches!(
-            k,
-            EventKind::CacheHit {
-                table: CacheTable::Whnf
-            } | EventKind::CacheMiss {
-                table: CacheTable::Whnf
-            }
-        )));
         // The metrics registry derives from the same stream.
         assert_eq!(
             report.metrics().counter("lift.constants"),
@@ -736,7 +729,7 @@ mod tests {
         let module = pumpkin_stdlib::swap::OLD_MODULE_CONSTANTS;
         let (mut env, lifting) = configured();
         let first = Repairer::new(&lifting).run(&mut env, module).unwrap();
-        let snap = DigestMap::capture(&env, module);
+        let snap = DigestMap::capture_repaired(&env, module, &first);
         let second = Repairer::new(&lifting)
             .incremental(&snap)
             .run(&mut env, module)
@@ -748,6 +741,59 @@ mod tests {
             (0, 0, module.len() as u64)
         );
         assert_eq!(second.lift.persist_hits + second.lift.persist_misses, 0);
+    }
+
+    #[test]
+    fn green_reuse_refuses_a_resident_target_the_snapshot_did_not_produce() {
+        // The snapshot's run repaired `Old.green_clash` into a list
+        // function. A later environment declares its own
+        // `New.green_clash : nat` before the unchanged source: a cold run
+        // reports the collision, and an incremental run must not take the
+        // resident `nat` constant for the repair.
+        let old = "Definition Old.green_clash : forall (T : Type 1), Old.list T -> Old.list T := \
+                   fun (T : Type 1) (l : Old.list T) => l.";
+        let work = ["Old.green_clash"];
+        let (mut snap_env, lifting) = configured();
+        pumpkin_lang::load_source(&mut snap_env, old).unwrap();
+        let first = Repairer::new(&lifting).run(&mut snap_env, &work).unwrap();
+        let snapshots = [
+            DigestMap::capture(&snap_env, &work),
+            DigestMap::capture_repaired(&snap_env, &work, &first),
+        ];
+
+        let clashing = || {
+            let (mut env, lifting) = configured();
+            pumpkin_lang::load_source(&mut env, "Definition New.green_clash : nat := O.").unwrap();
+            pumpkin_lang::load_source(&mut env, old).unwrap();
+            (env, lifting)
+        };
+        let (mut env, lifting) = clashing();
+        let cold = Repairer::new(&lifting).run(&mut env, &work).unwrap_err();
+        assert!(
+            cold.to_string()
+                .contains("`New.green_clash` is already declared"),
+            "{cold}"
+        );
+        for snap in &snapshots {
+            let (mut env, lifting) = clashing();
+            let incr = Repairer::new(&lifting)
+                .incremental(snap)
+                .run(&mut env, &work)
+                .map(|r| r.repaired)
+                .unwrap_err();
+            assert_eq!(incr.to_string(), cold.to_string());
+            let resident = env.const_decl(&"New.green_clash".into()).unwrap();
+            assert_eq!(resident.ty, Term::ind("nat"));
+        }
+
+        // The target the snapshot's run produced is still reused.
+        let again = Repairer::new(&lifting)
+            .incremental(&snapshots[1])
+            .run(&mut snap_env, &work)
+            .unwrap();
+        let incr = again.incr.expect("incremental run reports stats");
+        assert_eq!((incr.changed, incr.replayed, incr.skipped), (0, 0, 1));
+        assert_eq!(again.lift.constants_lifted, 0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!    constants are split over up to `jobs` workers, every worker gets a
 //!    cloned [`Env`] snapshot and a forked [`LiftState`]
 //!    ([`LiftState::fork_worker`]) — caches stay thread-confined — and a
-//!    merge barrier folds the repaired definitions, closed-subterm cache
-//!    entries, and counters back into the master before the next wave.
+//!    merge barrier folds the repaired definitions, constant mappings,
+//!    and counters back into the master before the next wave.
 //!    A wave with a single worker (always at `jobs = 1`, and for width-1
 //!    waves at any job count) runs in place on the master instead — one
 //!    worker's merge is the identity — so the scheduler's overhead over
@@ -311,7 +311,7 @@ pub struct ScheduleStats {
     /// folding caches), in nanoseconds.
     pub merge_nanos: u64,
     /// Kernel counters accrued by each worker slot, summed across waves —
-    /// per-worker whnf/conv hit rates come from here.
+    /// per-worker whnf/conv call counts come from here.
     pub worker_kernel: Vec<KernelStats>,
     /// The dependency DAG the run was scheduled from.
     pub dag: ModuleDag,
@@ -321,7 +321,7 @@ impl fmt::Display for ScheduleStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "jobs={}, {} waves, widths {:?} (max {}), merge {:.2} ms; worker whnf hit rates [",
+            "jobs={}, {} waves, widths {:?} (max {}), merge {:.2} ms; worker whnf calls [",
             self.jobs,
             self.waves,
             self.wave_widths,
@@ -332,7 +332,7 @@ impl fmt::Display for ScheduleStats {
             if w > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{:.1}%", 100.0 * k.whnf_hit_rate())?;
+            write!(f, "{}", k.whnf_calls)?;
         }
         write!(f, "]")
     }

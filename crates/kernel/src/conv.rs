@@ -3,11 +3,10 @@
 //! The deciding engine is normalization by evaluation ([`crate::nbe`]):
 //! both sides are evaluated once into a value domain and compared there,
 //! instead of being repeatedly rewritten to weak head normal form. This
-//! module owns the public entry points — the syntactic fast path, the
-//! per-[`Env`] `(TermId, TermId)` memo table, statistics, and tracing —
-//! and retains the original whnf-rewriting checker
-//! ([`conv_via_whnf`] / [`conv_leq_via_whnf`]) as a differential-testing
-//! oracle.
+//! module owns the public entry points — the syntactic fast path,
+//! statistics, and tracing — and retains the original whnf-rewriting
+//! checker ([`conv_via_whnf`] / [`conv_leq_via_whnf`]) as a memo-free
+//! differential-testing oracle.
 
 use crate::env::Env;
 use crate::reduce::whnf;
@@ -17,27 +16,21 @@ use crate::term::{Term, TermData};
 /// Are `t` and `u` definitionally equal (βδιζη-convertible)?
 ///
 /// The `t == u` check is O(1): pointer identity, then hash-consed
-/// [`Term::id`] equality. Everything past it is memoized on the [`Env`]
-/// under the ordered `(TermId, TermId)` pair until the next environment
-/// mutation (see [`Env::kernel_stats`] / [`Env::set_kernel_cache`]).
+/// [`Term::id`] equality. Everything past it is decided by NbE, whose
+/// closed-term values are memoized on the [`Env`] (see
+/// [`Env::kernel_stats`] / [`Env::set_kernel_cache`]).
 pub fn conv(env: &Env, t: &Term, u: &Term) -> bool {
     if t == u {
         return true;
     }
     env.tally(|s| s.conv_calls += 1);
     env.tracer().emit(pumpkin_trace::EventKind::Conv);
-    if let Some(verdict) = env.conv_cached(t, u) {
-        return verdict;
-    }
-    let verdict = crate::nbe::conv_terms(env, t, u, false);
-    env.conv_insert(t, u, verdict);
-    verdict
+    crate::nbe::conv_terms(env, t, u, false)
 }
 
 /// Cumulativity: is `t ≤ u` as types? Identical to conversion except sorts
 /// compare with `≤`, propagated through Pi codomains only (domains stay
-/// invariant). Not memoized: `≤` is asymmetric and the queries the type
-/// checker issues are rarely repeated.
+/// invariant).
 pub fn conv_leq(env: &Env, t: &Term, u: &Term) -> bool {
     if t == u {
         return true;
@@ -53,19 +46,7 @@ pub fn conv_via_whnf(env: &Env, t: &Term, u: &Term) -> bool {
         return true;
     }
     env.tally(|s| s.conv_calls += 1);
-    if let Some(verdict) = env.conv_cached(t, u) {
-        return verdict;
-    }
-    let tw = whnf(env, t);
-    let uw = whnf(env, u);
-    let verdict = conv_whnf(env, &tw, &uw);
-    env.conv_insert(t, u, verdict);
-    // Distinct queries that reduce to the same weak head normal forms
-    // share a verdict, so memoize under the reduced pair as well.
-    if &tw != t || &uw != u {
-        env.conv_insert(&tw, &uw, verdict);
-    }
-    verdict
+    conv_whnf(env, &whnf(env, t), &whnf(env, u))
 }
 
 /// Whnf-rewriting cumulativity, the oracle counterpart of [`conv_leq`].
@@ -257,33 +238,29 @@ mod tests {
     }
 
     #[test]
-    fn conv_cache_hits_are_counted_and_symmetric() {
+    fn conv_calls_are_counted_and_symmetric() {
         let mut env = Env::new();
         env.define("T", Term::type_(1), Term::set()).unwrap();
         let t = Term::const_("T");
         env.reset_kernel_stats();
         assert!(conv(&env, &t, &Term::set()));
-        let after_first = env.kernel_stats();
-        assert_eq!(after_first.conv_cache_hits, 0);
-        assert!(after_first.conv_cache_misses >= 1);
-        // Same query again: answered from the table.
-        assert!(conv(&env, &t, &Term::set()));
-        // Swapped operands: conversion is symmetric, still a hit.
+        assert_eq!(env.kernel_stats().conv_calls, 1);
+        // Swapped operands: conversion is symmetric. The `t == u` fast
+        // path is not counted.
         assert!(conv(&env, &Term::set(), &t));
-        let after = env.kernel_stats();
-        assert!(after.conv_cache_hits >= 2, "stats: {after}");
-        assert_eq!(after.conv_cache_misses, after_first.conv_cache_misses);
+        assert!(conv(&env, &t, &t));
+        assert_eq!(env.kernel_stats().conv_calls, 2);
     }
 
     #[test]
     fn transparency_flip_invalidates_cached_conversions() {
         // The δ-staleness scenario the generation counter exists for: a
-        // cached `conv(T, Set) = true` must not survive `set_opaque`.
+        // verdict computed with `T` transparent must not survive
+        // `set_opaque`.
         let mut env = Env::new();
         env.define("T", Term::type_(1), Term::set()).unwrap();
         let t = Term::const_("T");
         assert!(conv(&env, &t, &Term::set()));
-        assert!(conv(&env, &t, &Term::set())); // definitely cached now
         env.set_opaque(&"T".into(), true).unwrap();
         assert!(!conv(&env, &t, &Term::set()));
         env.set_opaque(&"T".into(), false).unwrap();
@@ -308,7 +285,6 @@ mod tests {
         env.set_kernel_cache(false);
         let uncached: Vec<bool> = queries.iter().map(|(a, b)| conv(&env, a, b)).collect();
         assert_eq!(cached, uncached);
-        assert!(!env.kernel_cache_enabled());
         env.set_kernel_cache(true);
     }
 

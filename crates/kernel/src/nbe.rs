@@ -337,7 +337,7 @@ fn velim(
 /// Decides `t ≡ u` (or `t ≤ u` with `leq`) by evaluating both sides and
 /// comparing the values. The crate-facing entry points are
 /// [`crate::conv::conv`] / [`crate::conv::conv_leq`], which add the
-/// syntactic fast path and the `(TermId, TermId)` memo table.
+/// syntactic fast path, statistics and tracing.
 pub(crate) fn conv_terms(env: &Env, t: &Term, u: &Term, leq: bool) -> bool {
     let venv = VEnv::nil();
     let a = eval(env, &venv, t);

@@ -735,7 +735,8 @@ impl Session {
             other => (code::REPAIR_FAILED, other.to_string()),
         })?;
         if incremental {
-            self.configured[0].snapshot = Some(DigestMap::capture(&env, &borrowed));
+            self.configured[0].snapshot =
+                Some(DigestMap::capture_repaired(&env, &borrowed, &report));
         }
         self.stats.record_metrics(self.lane, &report.metrics);
         let g = &self.stats.gauges;

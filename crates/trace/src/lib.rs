@@ -4,14 +4,14 @@
 //!
 //! The paper's artifact reports one wall-clock number per case study; a
 //! production repair service needs to answer *where the time went* — per
-//! wave, per worker, per constant, per kernel cache probe — without
+//! wave, per worker, per constant, per kernel call — without
 //! perturbing the hot path it measures. This crate supplies that substrate
 //! under the same no-external-crates discipline as the rest of the
 //! workspace:
 //!
 //! * [`Event`] / [`EventKind`] — the typed event taxonomy (run/wave/merge
-//!   spans, per-constant lift spans, `whnf`/`conv` calls, cache hit/miss
-//!   probes, rollbacks), each stamped with a monotonic nanosecond offset
+//!   spans, per-constant lift spans, `whnf`/`conv` calls, rollbacks),
+//!   each stamped with a monotonic nanosecond offset
 //!   and a worker id.
 //! * [`Tracer`] — a thread-confined event buffer. A disabled tracer is a
 //!   single `Option` discriminant check per probe (no allocation, no
@@ -31,8 +31,8 @@
 //! * [`prov`] — the versioned `prov` event family: per-subterm attribution
 //!   of every rewrite to the configuration rule that fired (paper §4).
 //! * [`report`] — offline trace analysis (`pumpkin trace-report`):
-//!   critical-path extraction, hottest lifts, per-constant cache
-//!   behaviour, structural diff of two traces, schema lint.
+//!   critical-path extraction, hottest lifts, per-constant kernel calls,
+//!   structural diff of two traces, schema lint.
 
 pub mod json;
 pub mod metrics;
@@ -43,7 +43,6 @@ pub mod sink;
 pub mod summary;
 
 use std::cell::{Cell, RefCell};
-use std::fmt;
 use std::time::Instant;
 
 pub use metrics::{Histogram, Metrics};
@@ -53,45 +52,6 @@ pub use sink::{EventSink, JsonLinesSink, SummarySink};
 /// family (like [`prov::PROV_SCHEMA_VERSION`] for the `prov` family);
 /// readers treat other versions as [`EventKind::Unknown`].
 pub const AUTO_SCHEMA_VERSION: u32 = 1;
-
-/// Which memo table a cache probe hit ([`EventKind::CacheHit`] /
-/// [`EventKind::CacheMiss`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CacheTable {
-    /// The kernel's weak-head-normal-form memo table.
-    Whnf,
-    /// The kernel's conversion-verdict memo table.
-    Conv,
-    /// The lift layer's closed-subterm cache (paper §4.4).
-    Lift,
-}
-
-impl CacheTable {
-    /// The stable wire name used in the JSON-lines schema.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheTable::Whnf => "whnf",
-            CacheTable::Conv => "conv",
-            CacheTable::Lift => "lift",
-        }
-    }
-
-    /// Parses a wire name back ([`CacheTable::as_str`]'s inverse).
-    pub fn from_str_opt(s: &str) -> Option<CacheTable> {
-        match s {
-            "whnf" => Some(CacheTable::Whnf),
-            "conv" => Some(CacheTable::Conv),
-            "lift" => Some(CacheTable::Lift),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for CacheTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// The typed event taxonomy. Span-shaped kinds (run, wave, merge, lift)
 /// carry their duration on the enclosing [`Event`]; instant kinds have
@@ -133,16 +93,6 @@ pub enum EventKind {
     Whnf,
     /// Instant: one non-trivial conversion call.
     Conv,
-    /// Instant: a memo-table probe answered from the cache.
-    CacheHit {
-        /// Which table answered.
-        table: CacheTable,
-    },
-    /// Instant: a memo-table probe that missed.
-    CacheMiss {
-        /// Which table missed.
-        table: CacheTable,
-    },
     /// Instant: a failing wave's declarations were rolled back.
     Rollback {
         /// Declarations dropped.
@@ -242,8 +192,6 @@ impl EventKind {
             EventKind::LiftConstant { .. } => "lift_constant",
             EventKind::Whnf => "whnf",
             EventKind::Conv => "conv",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheMiss { .. } => "cache_miss",
             EventKind::Rollback { .. } => "rollback",
             EventKind::Incr { .. } => "incr",
             EventKind::ServeSlow { .. } => "serve_slow",
@@ -311,11 +259,6 @@ impl Event {
             EventKind::LiftConstant { name } => {
                 s.push_str(",\"name\":");
                 json::escape_into(name, &mut s);
-            }
-            EventKind::CacheHit { table } | EventKind::CacheMiss { table } => {
-                s.push_str(",\"table\":\"");
-                s.push_str(table.as_str());
-                s.push('"');
             }
             EventKind::Rollback { dropped } => {
                 s.push_str(",\"dropped\":");
@@ -446,12 +389,6 @@ impl Event {
             },
             "whnf" => EventKind::Whnf,
             "conv" => EventKind::Conv,
-            "cache_hit" => EventKind::CacheHit {
-                table: CacheTable::from_str_opt(st("table")?)?,
-            },
-            "cache_miss" => EventKind::CacheMiss {
-                table: CacheTable::from_str_opt(st("table")?)?,
-            },
             "rollback" => EventKind::Rollback {
                 dropped: num("dropped")? as u32,
             },
@@ -803,12 +740,6 @@ mod tests {
             },
             EventKind::Whnf,
             EventKind::Conv,
-            EventKind::CacheHit {
-                table: CacheTable::Whnf,
-            },
-            EventKind::CacheMiss {
-                table: CacheTable::Lift,
-            },
             EventKind::Rollback { dropped: 7 },
             EventKind::Incr {
                 changed: 1,
@@ -836,7 +767,7 @@ mod tests {
             },
             EventKind::AutoCandidate {
                 index: 3,
-                config: "mapping#1 eta=off smart_elim=on cache=on".into(),
+                config: "mapping#1 eta=off smart_elim=on".into(),
             },
             EventKind::AutoVerdict {
                 index: 3,
@@ -882,6 +813,17 @@ mod tests {
             other => panic!("expected Unknown, got {other:?}"),
         }
         assert_eq!(e.to_json(), line, "raw line preserved byte for byte");
+    }
+
+    #[test]
+    fn retired_cache_probe_lines_parse_as_unknown() {
+        // Traces written while per-probe cache events existed still read
+        // back, verbatim.
+        let line =
+            "{\"t_ns\":5,\"dur_ns\":0,\"worker\":0,\"kind\":\"cache_hit\",\"table\":\"lift\"}";
+        let e = Event::from_json(line).expect("old lines parse");
+        assert!(matches!(&e.kind, EventKind::Unknown { kind, .. } if &**kind == "cache_hit"));
+        assert_eq!(e.to_json(), line);
     }
 
     #[test]

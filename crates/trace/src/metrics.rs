@@ -185,7 +185,7 @@ pub fn fmt_ns(ns: u64) -> String {
 
 /// A registry of named counters and histograms.
 ///
-/// Names are dotted paths (`cache.whnf.hits`, `lift.constant.ns`); the
+/// Names are dotted paths (`events.whnf`, `lift.constant.ns`); the
 /// `.ns` suffix marks histograms of nanosecond durations by convention.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
@@ -251,7 +251,7 @@ impl Metrics {
     }
 
     /// The standard derivation from an event batch: event-kind counters
-    /// (`events.whnf`, `cache.conv.hits`, …) and span-duration histograms
+    /// (`events.whnf`, `prov.sites`, …) and span-duration histograms
     /// (`lift.constant.ns`, `wave.ns`, `wave.merge.ns`, `run.ns`).
     pub fn from_events(events: &[Event]) -> Metrics {
         let mut m = Metrics::new();
@@ -272,12 +272,6 @@ impl Metrics {
                 }
                 EventKind::Whnf => m.incr("events.whnf", 1),
                 EventKind::Conv => m.incr("events.conv", 1),
-                EventKind::CacheHit { table } => {
-                    m.incr(&format!("cache.{table}.hits"), 1);
-                }
-                EventKind::CacheMiss { table } => {
-                    m.incr(&format!("cache.{table}.misses"), 1);
-                }
                 EventKind::Rollback { dropped } => {
                     m.incr("rollback.count", 1);
                     m.incr("rollback.dropped", u64::from(*dropped));
@@ -320,21 +314,21 @@ impl Metrics {
 
     /// Folds the registry into a job-count-invariant canonical form.
     ///
-    /// Kernel cache probe counts (`cache.*`, `events.whnf`, `events.conv`)
-    /// legitimately vary with the worker count: each worker forks its own
-    /// memo tables, so hit/miss patterns — and the recursion they prune —
-    /// differ run to run (see `semantic_events_agree_across_worker_counts`
-    /// in the integration tests). The same goes for timing histograms and
-    /// for provenance *site* counts (a worker that misses the lift cache
-    /// re-expands a subtree's sites; `rule.cached` absorbs the difference).
+    /// Kernel call counts (`events.whnf`, `events.conv`) legitimately vary
+    /// with the worker count: each worker forks its own nf/ty memo tables,
+    /// so the recursion they prune differs run to run (see
+    /// `semantic_events_agree_across_worker_counts` in the integration
+    /// tests). The same goes for timing histograms and for provenance
+    /// *site* counts (a worker that misses the lift cache re-expands a
+    /// subtree's sites; `rule.cached` absorbs the difference).
     ///
     /// Canonicalization keeps the semantic counters verbatim
     /// (`schedule.waves`, `lift.constants`, `prov.constants`,
     /// `rollback.*`) plus the dimensionless `wave.width` histogram, and
     /// folds each job-variant family into a presence flag:
-    /// `cache.<table>.used`, `kernel.whnf.used`, `kernel.conv.used`,
-    /// `prov.recorded` (1 when any probe of that family fired). Two runs
-    /// of the same repair at different `--jobs` canonicalize identically.
+    /// `kernel.whnf.used`, `kernel.conv.used`, `prov.recorded` (1 when any
+    /// probe of that family fired). Two runs of the same repair at
+    /// different `--jobs` canonicalize identically.
     pub fn canonicalize(&self) -> Metrics {
         let mut m = Metrics::new();
         for (k, &v) in &self.counters {
@@ -345,14 +339,6 @@ impl Metrics {
                 || k.starts_with("rollback.")
             {
                 m.incr(k, v);
-            }
-        }
-        for table in ["whnf", "conv", "lift"] {
-            if self.counter(&format!("cache.{table}.hits"))
-                + self.counter(&format!("cache.{table}.misses"))
-                > 0
-            {
-                m.incr(&format!("cache.{table}.used"), 1);
             }
         }
         if self.counter("events.whnf") > 0 {
@@ -421,7 +407,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheTable;
 
     #[test]
     fn histogram_tracks_extremes_and_quantiles() {
@@ -535,18 +520,7 @@ mod tests {
         let events = vec![
             ev(EventKind::Whnf, 0),
             ev(EventKind::Whnf, 0),
-            ev(
-                EventKind::CacheHit {
-                    table: CacheTable::Whnf,
-                },
-                0,
-            ),
-            ev(
-                EventKind::CacheMiss {
-                    table: CacheTable::Lift,
-                },
-                0,
-            ),
+            ev(EventKind::Conv, 0),
             ev(
                 EventKind::LiftConstant {
                     name: "Old.rev".into(),
@@ -558,8 +532,7 @@ mod tests {
         ];
         let m = Metrics::from_events(&events);
         assert_eq!(m.counter("events.whnf"), 2);
-        assert_eq!(m.counter("cache.whnf.hits"), 1);
-        assert_eq!(m.counter("cache.lift.misses"), 1);
+        assert_eq!(m.counter("events.conv"), 1);
         assert_eq!(m.counter("lift.constants"), 1);
         assert_eq!(m.counter("schedule.waves"), 1);
         assert_eq!(m.histogram("lift.constant.ns").unwrap().sum(), 5_000);
@@ -582,23 +555,19 @@ mod tests {
 
     #[test]
     fn canonicalize_folds_job_variant_counters_into_presence_flags() {
-        let mut fast = Metrics::new(); // e.g. jobs=1: warm shared caches
-        let mut slow = Metrics::new(); // e.g. jobs=4: forked per-worker caches
+        let mut fast = Metrics::new(); // e.g. jobs=1: warm shared memos
+        let mut slow = Metrics::new(); // e.g. jobs=4: forked per-worker memos
         for m in [&mut fast, &mut slow] {
             m.incr("schedule.waves", 4);
             m.incr("lift.constants", 18);
             m.incr("prov.constants", 18);
             m.observe("wave.width", 6);
         }
-        fast.incr("cache.whnf.hits", 900);
-        fast.incr("cache.whnf.misses", 100);
         fast.incr("events.whnf", 100);
         fast.incr("prov.sites", 40);
         fast.incr("prov.rule.dep_constr", 30);
         fast.incr("prov.rule.cached", 10);
         fast.observe("run.ns", 1_000_000);
-        slow.incr("cache.whnf.hits", 600);
-        slow.incr("cache.whnf.misses", 400);
         slow.incr("events.whnf", 400);
         slow.incr("prov.sites", 55);
         slow.incr("prov.rule.dep_constr", 30);
@@ -609,10 +578,9 @@ mod tests {
         let (a, b) = (fast.canonicalize(), slow.canonicalize());
         assert_eq!(a, b, "canonical forms are job-count-invariant");
         assert_eq!(a.counter("lift.constants"), 18);
-        assert_eq!(a.counter("cache.whnf.used"), 1);
         assert_eq!(a.counter("kernel.whnf.used"), 1);
         assert_eq!(a.counter("prov.recorded"), 1);
-        assert_eq!(a.counter("cache.conv.used"), 0);
+        assert_eq!(a.counter("kernel.conv.used"), 0);
         assert!(a.histogram("run.ns").is_none(), "timings dropped");
         assert_eq!(a.histogram("wave.width").unwrap().count(), 1);
     }

@@ -7,8 +7,8 @@
 //!   barrier waited for), summed into the run's critical path and a
 //!   parallel-efficiency figure.
 //! * [`hottest_lifts`] — top-k lift spans by duration.
-//! * [`cache_by_constant`] — kernel/cache probes attributed to the
-//!   innermost enclosing lift span on the same worker.
+//! * [`kernel_by_constant`] — kernel `whnf`/`conv` calls attributed to
+//!   the innermost enclosing lift span on the same worker.
 //! * [`diff`] — structural comparison of two traces (event-kind counts,
 //!   constants appearing/disappearing, largest per-constant duration
 //!   movers) for regression triage.
@@ -231,37 +231,11 @@ pub fn hottest_lifts(events: &[Event], k: usize) -> String {
     out
 }
 
-#[derive(Default)]
-struct CacheRow {
-    lift_hits: u64,
-    lift_misses: u64,
-    whnf_hits: u64,
-    whnf_misses: u64,
-    conv_hits: u64,
-    conv_misses: u64,
-    whnf_calls: u64,
-    conv_calls: u64,
-}
-
-impl CacheRow {
-    fn total(&self) -> u64 {
-        self.lift_hits
-            + self.lift_misses
-            + self.whnf_hits
-            + self.whnf_misses
-            + self.conv_hits
-            + self.conv_misses
-            + self.whnf_calls
-            + self.conv_calls
-    }
-}
-
-/// Per-constant cache behaviour: every instant kernel/cache probe is
+/// Per-constant kernel calls: every instant `whnf`/`conv` event is
 /// attributed to the innermost lift span that contains its timestamp on
 /// the same worker (nested dependency repairs win over the outer lift).
-/// Probes outside any lift span land in the `(outside lift)` row.
-pub fn cache_by_constant(events: &[Event]) -> String {
-    use crate::CacheTable as T;
+/// Calls outside any lift span land in the `(outside lift)` row.
+pub fn kernel_by_constant(events: &[Event]) -> String {
     let lifts = lift_spans(events);
     let attribute = |e: &Event| -> String {
         let mut best: Option<(&str, u64)> = None;
@@ -277,48 +251,28 @@ pub fn cache_by_constant(events: &[Event]) -> String {
         best.map(|(n, _)| n.to_string())
             .unwrap_or_else(|| "(outside lift)".to_string())
     };
-    let mut rows: BTreeMap<String, CacheRow> = BTreeMap::new();
+    // (whnf calls, conv calls) per constant.
+    let mut rows: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for e in events {
-        let bump = |rows: &mut BTreeMap<String, CacheRow>, f: &dyn Fn(&mut CacheRow)| {
-            f(rows.entry(attribute(e)).or_default());
-        };
         match &e.kind {
-            EventKind::CacheHit { table } => match table {
-                T::Lift => bump(&mut rows, &|r| r.lift_hits += 1),
-                T::Whnf => bump(&mut rows, &|r| r.whnf_hits += 1),
-                T::Conv => bump(&mut rows, &|r| r.conv_hits += 1),
-            },
-            EventKind::CacheMiss { table } => match table {
-                T::Lift => bump(&mut rows, &|r| r.lift_misses += 1),
-                T::Whnf => bump(&mut rows, &|r| r.whnf_misses += 1),
-                T::Conv => bump(&mut rows, &|r| r.conv_misses += 1),
-            },
-            EventKind::Whnf => bump(&mut rows, &|r| r.whnf_calls += 1),
-            EventKind::Conv => bump(&mut rows, &|r| r.conv_calls += 1),
+            EventKind::Whnf => rows.entry(attribute(e)).or_default().0 += 1,
+            EventKind::Conv => rows.entry(attribute(e)).or_default().1 += 1,
             _ => {}
         }
     }
-    rows.retain(|_, r| r.total() > 0);
     let mut out = String::new();
     if rows.is_empty() {
-        out.push_str("per-constant cache behaviour: (no cache/kernel probes in trace)\n");
+        out.push_str("per-constant kernel calls: (no kernel probes in trace)\n");
         return out;
     }
-    out.push_str("per-constant cache behaviour (hit/miss):\n");
+    out.push_str("per-constant kernel calls:\n");
     let name_w = rows.keys().map(String::len).max().unwrap_or(1);
     out.push_str(&format!(
-        "  {:<name_w$}  {:>11}  {:>11}  {:>11}  {:>6}  {:>6}\n",
-        "constant", "lift", "whnf", "conv", "whnf()", "conv()"
+        "  {:<name_w$}  {:>6}  {:>6}\n",
+        "constant", "whnf()", "conv()"
     ));
-    for (name, r) in &rows {
-        out.push_str(&format!(
-            "  {name:<name_w$}  {:>11}  {:>11}  {:>11}  {:>6}  {:>6}\n",
-            format!("{}/{}", r.lift_hits, r.lift_misses),
-            format!("{}/{}", r.whnf_hits, r.whnf_misses),
-            format!("{}/{}", r.conv_hits, r.conv_misses),
-            r.whnf_calls,
-            r.conv_calls,
-        ));
+    for (name, (whnf, conv)) in &rows {
+        out.push_str(&format!("  {name:<name_w$}  {whnf:>6}  {conv:>6}\n"));
     }
     out
 }
@@ -349,7 +303,7 @@ pub fn provenance_summary(events: &[Event]) -> String {
 }
 
 /// The full offline report: critical path, hottest lifts, per-constant
-/// cache behaviour, and (if present) provenance citations.
+/// kernel calls, and (if present) provenance citations.
 pub fn render(events: &[Event], top_k: usize) -> String {
     let mut out = String::new();
     let runs = events
@@ -366,7 +320,7 @@ pub fn render(events: &[Event], top_k: usize) -> String {
     out.push('\n');
     out.push_str(&hottest_lifts(events, top_k));
     out.push('\n');
-    out.push_str(&cache_by_constant(events));
+    out.push_str(&kernel_by_constant(events));
     let prov = provenance_summary(events);
     if !prov.is_empty() {
         out.push('\n');
@@ -475,7 +429,6 @@ fn truncate(s: &str, max: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheTable;
 
     fn ev(t_ns: u64, dur_ns: u64, worker: u32, kind: EventKind) -> Event {
         Event {
@@ -500,22 +453,8 @@ mod tests {
             ev(5_000, 4_000, 0, EventKind::Wave { wave: 1, width: 1 }),
             ev(8_900, 100, 0, EventKind::WaveMerge { wave: 1 }),
             lift(5_100, 3_000, 1, "Old.rev_involutive"),
-            ev(
-                300,
-                0,
-                1,
-                EventKind::CacheHit {
-                    table: CacheTable::Lift,
-                },
-            ),
-            ev(
-                260,
-                0,
-                2,
-                EventKind::CacheMiss {
-                    table: CacheTable::Whnf,
-                },
-            ),
+            ev(300, 0, 1, EventKind::Conv),
+            ev(260, 0, 2, EventKind::Whnf),
             ev(5_200, 0, 1, EventKind::Whnf),
         ]
     }
@@ -550,20 +489,21 @@ mod tests {
     }
 
     #[test]
-    fn cache_probes_attribute_to_enclosing_lift_span() {
-        let text = cache_by_constant(&sample());
-        // lift-cache hit at t=300 on worker 1 sits inside Old.app's span.
-        let row = text
-            .lines()
-            .find(|l| l.contains("Old.app"))
-            .expect("Old.app row");
-        assert!(row.contains("1/0"), "lift hit attributed: {row}");
-        // whnf miss at t=260 on worker 2 sits inside Old.rev's span.
-        let row = text
-            .lines()
-            .find(|l| l.contains("Old.rev "))
-            .expect("Old.rev row");
-        assert!(row.contains("0/1"), "whnf miss attributed: {row}");
+    fn kernel_probes_attribute_to_enclosing_lift_span() {
+        let text = kernel_by_constant(&sample());
+        let cols = |name: &str| -> Vec<String> {
+            let row = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name))
+                .unwrap_or_else(|| panic!("no {name} row: {text}"));
+            row.split_whitespace().map(str::to_string).collect()
+        };
+        // conv at t=300 on worker 1 sits inside Old.app's span.
+        assert_eq!(cols("Old.app"), ["Old.app", "0", "1"]);
+        // whnf at t=260 on worker 2 sits inside Old.rev's span.
+        assert_eq!(cols("Old.rev"), ["Old.rev", "1", "0"]);
+        // whnf at t=5200 on worker 1 sits inside Old.rev_involutive's.
+        assert_eq!(cols("Old.rev_involutive"), ["Old.rev_involutive", "1", "0"]);
     }
 
     #[test]
@@ -573,10 +513,10 @@ mod tests {
             lift(1_000, 2_000, 1, "Old.inner"),
             ev(1_500, 0, 1, EventKind::Whnf),
         ];
-        let text = cache_by_constant(&events);
+        let text = kernel_by_constant(&events);
         let inner = text.lines().find(|l| l.contains("Old.inner")).unwrap();
         let cols: Vec<&str> = inner.split_whitespace().collect();
-        assert_eq!(cols, ["Old.inner", "0/0", "0/0", "0/0", "1", "0"]);
+        assert_eq!(cols, ["Old.inner", "1", "0"]);
     }
 
     #[test]
@@ -636,6 +576,6 @@ mod tests {
         let text = render(&sample(), 3);
         assert!(text.contains("critical path"));
         assert!(text.contains("hottest lifts"));
-        assert!(text.contains("per-constant cache behaviour"));
+        assert!(text.contains("per-constant kernel calls"));
     }
 }

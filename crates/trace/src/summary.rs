@@ -8,7 +8,7 @@
 //! kernel-probe tally.
 
 use crate::metrics::fmt_ns;
-use crate::{CacheTable, Event, EventKind};
+use crate::{Event, EventKind};
 
 /// Width of the proportional duration bar next to each lift span.
 const BAR: usize = 20;
@@ -111,28 +111,10 @@ pub fn render(events: &[Event]) -> String {
     }
 
     let count = |pred: &dyn Fn(&EventKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
-    let hits =
-        |t: CacheTable| count(&|k| matches!(k, EventKind::CacheHit { table } if *table == t));
-    let misses =
-        |t: CacheTable| count(&|k| matches!(k, EventKind::CacheMiss { table } if *table == t));
     let whnf = count(&|k| matches!(k, EventKind::Whnf));
     let conv = count(&|k| matches!(k, EventKind::Conv));
-    if whnf + conv > 0
-        || [CacheTable::Whnf, CacheTable::Conv, CacheTable::Lift]
-            .iter()
-            .any(|&t| hits(t) + misses(t) > 0)
-    {
-        out.push_str("  kernel/caches:\n");
-        out.push_str(&format!("    whnf calls {whnf}, conv calls {conv}\n"));
-        for t in [CacheTable::Whnf, CacheTable::Conv, CacheTable::Lift] {
-            let (h, m) = (hits(t), misses(t));
-            if h + m > 0 {
-                out.push_str(&format!(
-                    "    {t} cache: {h} hits / {m} misses ({:.1}% hit)\n",
-                    100.0 * h as f64 / (h + m) as f64
-                ));
-            }
-        }
+    if whnf + conv > 0 {
+        out.push_str(&format!("  kernel: whnf calls {whnf}, conv calls {conv}\n"));
     }
     let rollbacks: u32 = events
         .iter()
@@ -209,22 +191,7 @@ mod tests {
                     name: "Old.rev_involutive".into(),
                 },
             ),
-            ev(
-                10,
-                0,
-                1,
-                EventKind::CacheHit {
-                    table: CacheTable::Whnf,
-                },
-            ),
-            ev(
-                11,
-                0,
-                1,
-                EventKind::CacheMiss {
-                    table: CacheTable::Whnf,
-                },
-            ),
+            ev(10, 0, 1, EventKind::Conv),
             ev(12, 0, 1, EventKind::Whnf),
         ];
         let text = render(&events);
@@ -235,7 +202,7 @@ mod tests {
         assert!(wave0 < rev && rev < wave1, "Old.rev listed under wave 0");
         assert!(wave1 < invol, "involutive listed under wave 1");
         assert!(text.contains("w1"), "worker attribution shown");
-        assert!(text.contains("whnf cache: 1 hits / 1 misses"));
+        assert!(text.contains("kernel: whnf calls 1, conv calls 1"));
         assert!(text.contains("jobs=2"));
     }
 

@@ -421,20 +421,20 @@ mod tests {
         let r = ReportWire {
             repaired: vec![("Old.rev".into(), "New.rev".into())],
             auto: Some(AutoWire {
-                winner: Some("mapping#0 eta=on smart_elim=on cache=on".into()),
+                winner: Some("mapping#0 eta=on smart_elim=on".into()),
                 tried: 2,
                 skipped_cache: 1,
                 rejected: 1,
                 complete: true,
                 candidates: vec![
                     (
-                        "mapping#0 eta=on smart_elim=off cache=on".into(),
+                        "mapping#0 eta=on smart_elim=off".into(),
                         "rejected".into(),
                         "lang".into(),
                         10,
                     ),
                     (
-                        "mapping#0 eta=on smart_elim=on cache=on".into(),
+                        "mapping#0 eta=on smart_elim=on".into(),
                         "accepted".into(),
                         String::new(),
                         20,

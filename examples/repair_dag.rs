@@ -4,7 +4,7 @@
 //!
 //! Nodes are grouped `rank=same` per wave; edges point dependency →
 //! dependent. The scheduling summary (waves, widths, merge time, per-worker
-//! cache hit rates) goes to stderr so stdout stays valid DOT.
+//! whnf calls) goes to stderr so stdout stays valid DOT.
 
 use pumpkin_pi::*;
 

@@ -12,8 +12,8 @@
 //!
 //! A second mode analyzes traces offline (no script, no environment):
 //! `pumpkin trace-report [--lint] [--top K] <file.jsonl> [file2.jsonl]`.
-//! One file renders the full report (critical path, hottest lifts, cache
-//! behavior per constant, provenance summary); two files render a
+//! One file renders the full report (critical path, hottest lifts, kernel
+//! calls per constant, provenance summary); two files render a
 //! structural diff; `--lint` validates the file(s) against the schema and
 //! exits nonzero on violations.
 
@@ -880,7 +880,7 @@ fn watch(argv: &[String]) -> ExitCode {
                         println!("watch: incremental: {i}");
                     }
                     let _ = std::io::stdout().flush();
-                    prev = DigestMap::capture(&env, &borrowed);
+                    prev = DigestMap::capture_repaired(&env, &borrowed, &report);
                     if max_runs > 0 && runs >= max_runs {
                         return ExitCode::SUCCESS;
                     }
@@ -894,8 +894,8 @@ fn watch(argv: &[String]) -> ExitCode {
 
 /// `pumpkin auto`: the automatic repair search as a verb (DESIGN.md §18).
 /// Loads a vernacular module and searches candidate configurations —
-/// constructor-mapping permutations, eta/iota toggles, smart eliminators,
-/// cache reuse — running each through the kernel until one repair checks.
+/// constructor-mapping permutations, eta/iota toggles, smart eliminators —
+/// running each through the kernel until one repair checks.
 /// When every candidate fails, the module is shrunk to a minimal failing
 /// reproducer (`--emit-repro FILE.pi` writes it as standalone vernacular)
 /// and the exit status is [`EXIT_AUTO_EXHAUSTED`].

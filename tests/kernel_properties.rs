@@ -1,7 +1,7 @@
 //! Property-based tests of the kernel substrate: substitution laws,
 //! normalization idempotence, conversion congruence, parser ↔
-//! pretty-printer round trips, and coherence of the kernel's conv/whnf
-//! memo layer — all on randomly generated terms from the deterministic
+//! pretty-printer round trips, and coherence of the kernel's closed-term
+//! nf/ty memo layer — all on randomly generated terms from the deterministic
 //! [`pumpkin_testkit`] generator.
 
 use pumpkin_pi::pumpkin_kernel::conv::conv;
@@ -177,13 +177,14 @@ fn conversion_is_congruent_for_arithmetic() {
 
 #[test]
 fn cached_conv_and_whnf_agree_with_uncached() {
-    // The kernel memo layer must be semantically invisible: every verdict
-    // and every weak head normal form computed with the cache on equals
-    // the one computed with the cache off, on the same queries in the
-    // same order (so the cached run actually exercises hits).
+    // The kernel memo layer must be semantically invisible: every verdict,
+    // weak head normal form and inferred type computed with the nf/ty
+    // memos on equals the one computed with them off, on the same queries
+    // in the same order (so the memoized run actually exercises hits).
     let cached_env = stdlib::std_env();
     let mut uncached_env = stdlib::std_env();
     uncached_env.set_kernel_cache(false);
+    let (cached_before, uncached_before) = (cached_env.kernel_stats(), uncached_env.kernel_stats());
     check(48, |rng| {
         let a = arb_arith(rng, 3);
         let b = arb_arith(rng, 3);
@@ -201,20 +202,31 @@ fn cached_conv_and_whnf_agree_with_uncached() {
             "whnf diverged on {ta}"
         );
         assert_eq!(whnf(&cached_env, &ta), whnf(&uncached_env, &ta));
+        for _ in 0..2 {
+            assert_eq!(
+                infer_closed(&cached_env, &ta).unwrap(),
+                infer_closed(&uncached_env, &ta).unwrap(),
+                "inferred type diverged on {ta}"
+            );
+        }
     });
-    // The cached run must actually have used the cache.
-    let stats = cached_env.kernel_stats();
+    // The memoized run must actually have used the ty memo: its repeated
+    // inferences were answered from the table instead of re-walking the
+    // terms. (The nf memo's use is pinned by the kernel's own unit test,
+    // which reads the table sizes.)
+    let cached = cached_env.kernel_stats().since(&cached_before);
+    let uncached = uncached_env.kernel_stats().since(&uncached_before);
     assert!(
-        stats.conv_cache_hits > 0 || stats.whnf_cache_hits > 0,
-        "differential test never hit the cache: {stats}"
+        cached.infer_calls < uncached.infer_calls,
+        "differential test never hit the ty memo: {cached} vs {uncached}"
     );
 }
 
 #[test]
 fn transparency_flips_invalidate_cached_delta_results() {
     // For random arithmetic, flipping `add`/`mul`/`sub` opaque must
-    // change reduction behaviour immediately (no stale cache), and
-    // flipping back must restore it.
+    // change reduction and conversion behaviour immediately (no stale nf
+    // or ty memo entry), and flipping back must restore it.
     let mut env = stdlib::std_env();
     let names = ["add", "mul", "sub"];
     check(24, |rng| {
@@ -222,6 +234,10 @@ fn transparency_flips_invalidate_cached_delta_results() {
         let t = e.term();
         let transparent_nf = normalize(&env, &t);
         assert_eq!(nat_value(&transparent_nf), Some(e.eval()));
+        // Fills the nf and ty memos for `t` under the transparent
+        // generation.
+        assert!(conv(&env, &t, &transparent_nf));
+        let ty = infer_closed(&env, &t).unwrap();
 
         let name = *rng.pick(&names);
         env.set_opaque(&name.into(), true).unwrap();
@@ -236,9 +252,17 @@ fn transparency_flips_invalidate_cached_delta_results() {
         } else {
             assert_eq!(opaque_nf, transparent_nf);
         }
+        // A memoized transparent value of `t` must not answer here.
+        assert_eq!(
+            conv(&env, &t, &transparent_nf),
+            opaque_nf == transparent_nf,
+            "stale conversion for {t} with `{name}` opaque"
+        );
+        assert_eq!(infer_closed(&env, &t).unwrap(), ty);
         env.set_opaque(&name.into(), false).unwrap();
         // Back to transparent: cached opaque results must not leak.
         assert_eq!(normalize(&env, &t), transparent_nf);
+        assert!(conv(&env, &t, &transparent_nf));
     });
 }
 

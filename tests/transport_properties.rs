@@ -284,7 +284,7 @@ fn replica_transport_preserves_eval() {
 fn cache_never_changes_results() {
     // Same repair with and without the subterm cache yields identical
     // definitions (§4.4's aggressive caching is semantics-preserving), and
-    // likewise for the kernel-layer conv/whnf cache.
+    // likewise for the kernel-layer nf/ty memo tables.
     let mut env1 = stdlib::std_env();
     let l1 = pumpkin_core::search::swap::configure(
         &mut env1,
@@ -316,16 +316,11 @@ fn cache_never_changes_results() {
 
     for c in case_studies::REPLICA_CONSTANTS {
         let n: pumpkin_pi::pumpkin_kernel::name::GlobalName = c.replace("Old.", "New.").into();
-        assert_eq!(
-            env1.const_decl(&n).unwrap().body,
-            env2.const_decl(&n).unwrap().body
-        );
+        assert_eq!(env1.const_decl(&n).unwrap(), env2.const_decl(&n).unwrap());
     }
     // The cached run did real kernel work, so the two runs compared above
-    // were non-trivial. (Hash-consing made alpha-equal conversion queries
-    // short-circuit on `t == u` before reaching the memo table, so this
-    // module no longer generates memo traffic to count — the kernel's own
-    // unit tests pin memo hit/miss accounting.)
+    // were non-trivial. (The kernel's own unit tests pin that the nf/ty
+    // memo tables fill and answer.)
     let k = &report1.kernel;
     assert!(
         k.beta_steps + k.delta_steps + k.iota_steps > 0,
